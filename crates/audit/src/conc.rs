@@ -1,5 +1,5 @@
 //! `conc.lock_order` / `conc.shared_state` — the static race-detector
-//! layer over the sharded engine, the serve daemon, and the obs
+//! layer over the serve daemon, the harness runner, and the obs
 //! buffers.
 //!
 //! Lock identity is *declared*, not guessed: a lock is a struct field

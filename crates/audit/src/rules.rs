@@ -241,8 +241,8 @@ pub fn check_file(file: &SourceFile, findings: &mut Vec<Finding>) {
     }
 
     // --- det.thread_order --------------------------------------------
-    // Threads themselves are allowed (the sharded engine depends on
-    // them); what this rule polices is the *aggregation idiom*. Any
+    // Threads themselves are allowed (the serve daemon and the harness
+    // runner depend on them); what this rule polices is the *aggregation idiom*. Any
     // spawn or cross-thread channel/lock in simulation-state library
     // code must carry a pragma arguing that the observable result is
     // independent of scheduler interleaving — e.g. workers mutate
@@ -709,7 +709,7 @@ fn event_enum_variants(file: &SourceFile) -> Vec<(String, u32)> {
 /// boundary and are deliberately unbudgeted.
 const DET_PRAGMA_BUDGETS: &[(&str, usize)] = &[
     ("ssd", 0),
-    ("cluster", 3),
+    ("cluster", 2),
     ("core", 0),
     ("model", 0),
     ("workload", 1),

@@ -11,10 +11,7 @@ use crate::migrate::{ClusterView, ObjectView, OsdView};
 use crate::osd::Osd;
 
 /// A built cluster: the metadata catalog plus its storage nodes, ready for
-/// replay. `Clone` exists for the group-sharded runner, which hands each
-/// shard a full copy and lets every shard mutate only the OSD slots its
-/// component owns.
-#[derive(Clone)]
+/// replay.
 pub struct Cluster {
     pub config: ClusterConfig,
     pub catalog: Catalog,

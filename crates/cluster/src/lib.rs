@@ -28,6 +28,7 @@
 
 pub mod catalog;
 pub mod cluster;
+mod component;
 pub mod config;
 pub mod equeue;
 pub mod extent;
@@ -40,7 +41,6 @@ pub mod pace;
 pub mod placement;
 pub mod raid;
 pub mod remap;
-pub mod shard;
 pub mod sim;
 
 pub use catalog::{Catalog, FileMeta};
@@ -56,7 +56,6 @@ pub use pace::{SimTime, TimeSource, TimeStep};
 pub use placement::Placement;
 pub use raid::{IoKind, ObjectIo, StripeLayout};
 pub use remap::RemappingTable;
-pub use shard::{shard_decision, ShardDecision};
 pub use sim::{
     resume_trace_obs, resume_trace_obs_keep, run_trace, run_trace_obs, run_trace_obs_keep,
     CheckpointConfig, ClientAffinity, FailureSpec, MigrationSchedule, SimOptions, SnapManifest,

@@ -46,15 +46,13 @@ pub enum StepPause {
 /// caller — the host thread keeps them on its stack for the lifetime of
 /// the run, exactly like the batch entry points do internally.
 pub struct LiveRun<'a> {
-    engine: Engine<'a, dyn Migrator + 'a, dyn Recorder + 'a>,
+    engine: Engine<'a>,
     total_records: u64,
 }
 
 impl<'a> LiveRun<'a> {
     /// Builds a fresh, seeded run (the live analogue of
-    /// [`crate::sim::run_trace_obs_keep`], minus the drain). Live runs
-    /// are always sequential: pacing is per-event, which has no meaning
-    /// under the sharded coordinator's barriers.
+    /// [`crate::sim::run_trace_obs_keep`], minus the drain).
     pub fn new(
         cluster: Cluster,
         trace: &'a Trace,
@@ -206,17 +204,15 @@ mod tests {
     #[test]
     fn stepped_run_matches_batch_run() {
         let (trace, cluster) = world();
-        let batch = {
-            let (t, c) = (trace.clone(), cluster.clone());
-            run_trace_obs_keep(
-                c,
-                &t,
-                &mut NoMigration,
-                SimOptions::default(),
-                &mut NoopRecorder,
-            )
-            .0
-        };
+        let batch = run_trace_obs_keep(
+            cluster,
+            &trace,
+            &mut NoMigration,
+            SimOptions::default(),
+            &mut NoopRecorder,
+        )
+        .0;
+        let (_, cluster) = world();
         let mut policy = NoMigration;
         let mut obs = NoopRecorder;
         let mut live = LiveRun::new(

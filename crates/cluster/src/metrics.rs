@@ -58,26 +58,6 @@ impl ResponseSeries {
         self.buckets[idx].1 += 1;
     }
 
-    /// Folds another series' buckets into this one, index by index. Used
-    /// by the group-sharded runner to reassemble the global series from
-    /// per-shard fragments. Response times are integer microseconds and
-    /// per-bucket sums stay far below 2^53, so the f64 additions are
-    /// exact and the merged series is bit-identical to the sequential one
-    /// regardless of merge order.
-    pub fn merge_from(&mut self, other: &ResponseSeries) {
-        assert_eq!(
-            self.window_us, other.window_us,
-            "cannot merge response series with different window widths"
-        );
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), (0.0, 0));
-        }
-        for (dst, &(sum, n)) in self.buckets.iter_mut().zip(&other.buckets) {
-            dst.0 += sum;
-            dst.1 += n;
-        }
-    }
-
     /// Finished series, one point per window (empty windows yield a point
     /// with zero ops and zero mean, keeping the time axis regular). The
     /// chunked-growth slack past the last recorded window is not
@@ -140,17 +120,6 @@ impl LatencyHistogram {
 
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Folds another histogram into this one, bucket by bucket. Counts
-    /// are integers, so the merge is exact and order-independent — the
-    /// group-sharded runner relies on that for bit-identical reports.
-    pub fn merge_from(&mut self, other: &LatencyHistogram) {
-        for (dst, &n) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst += n;
-        }
-        self.count += other.count;
-        self.max_us = self.max_us.max(other.max_us);
     }
 
     /// Value at quantile `q` in [0, 1]; 0 when empty. Exact for the

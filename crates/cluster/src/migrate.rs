@@ -141,14 +141,9 @@ pub trait Migrator {
         true
     }
 
-    /// Whether this policy's decisions are invariant under group-sharded
-    /// parallel execution: it never plans a move across placement groups
-    /// in different components, and its per-access state updates commute
-    /// across components (so replaying buffered accesses in shard order at
-    /// each barrier reproduces the sequential state exactly). Policies
-    /// return `false` (the safe default) unless they can prove both; the
-    /// engine silently falls back to the sequential path when this is
-    /// `false` and `SimOptions::shards` asks for parallelism.
+    /// Unused: nothing in the workspace calls or overrides this. It stays
+    /// declared, with its default body, only because the `perfbench/`
+    /// ledger's `TimedMigrator` forwards it; remove both together.
     fn parallel_safe(&self) -> bool {
         false
     }
@@ -191,10 +186,6 @@ impl Migrator for NoMigration {
 
     fn plan(&mut self, _view: &ClusterView) -> Vec<MoveAction> {
         Vec::new()
-    }
-
-    fn parallel_safe(&self) -> bool {
-        true // plans nothing and keeps no state
     }
 }
 

@@ -68,9 +68,7 @@ impl From<FtlError> for OsdError {
     }
 }
 
-/// One storage node. `Clone` exists for the group-sharded runner, which
-/// hands each shard a full copy of the cluster.
-#[derive(Clone)]
+/// One storage node.
 pub struct Osd {
     pub id: OsdId,
     ssd: Ssd,

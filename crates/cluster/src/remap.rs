@@ -33,21 +33,6 @@ impl RemappingTable {
         self.map.get(&object).copied()
     }
 
-    /// Folds another table's entries into this one. Used by the
-    /// group-sharded runner to reassemble the global table from per-shard
-    /// fragments; the fragments cover disjoint placement components, so
-    /// the union never collides.
-    pub fn merge_from(&mut self, other: &RemappingTable) {
-        for (object, dest) in other.iter() {
-            let prev = self.map.insert(object, dest);
-            assert!(
-                prev.is_none(),
-                "remap fragments overlap on {object} — shard components were not disjoint"
-            );
-        }
-        self.moves_recorded += other.moves_recorded;
-    }
-
     /// True if the object already has an entry (moving it again is
     /// "free" in table-growth terms, §III.C).
     pub fn contains(&self, object: ObjectId) -> bool {

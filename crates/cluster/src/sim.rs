@@ -14,7 +14,7 @@
 use std::collections::VecDeque;
 use std::path::PathBuf;
 
-use edm_obs::{AsDynRecorder, Event as ObsEvent, NoopRecorder, Recorder};
+use edm_obs::{Event as ObsEvent, NoopRecorder, Recorder};
 use edm_snap::{FlatMap, SnapError, SnapReader, SnapWriter, Snapshot, SnapshotFile, TokenMap};
 use edm_workload::{FileOp, Trace};
 
@@ -76,11 +76,9 @@ pub enum ClientAffinity {
     #[default]
     User,
     /// Users are grouped by placement component first (see
-    /// [`crate::shard`]), so each client's records stay inside one
-    /// component — the layout that lets group-sharded execution replay
-    /// clients in parallel. Changes the assignment (and therefore the
-    /// replay) relative to [`ClientAffinity::User`], identically for the
-    /// sequential and sharded paths.
+    /// [`crate::component`]), so each client's records stay inside one
+    /// component. Changes the assignment (and therefore the replay)
+    /// relative to [`ClientAffinity::User`].
     Component,
 }
 
@@ -92,14 +90,6 @@ pub struct SimOptions {
     pub failures: Vec<FailureSpec>,
     /// Periodic full-state checkpoints; `None` disables them.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Worker threads for group-sharded parallel execution; 0 (default)
-    /// runs the classic sequential loop. Sharding additionally requires
-    /// [`ClientAffinity::Component`], a policy whose
-    /// [`Migrator::parallel_safe`] holds, no checkpointing, a
-    /// non-midpoint schedule, and ≥ 2 placement components — otherwise
-    /// the run silently falls back to the sequential path. Reports are
-    /// bit-identical either way.
-    pub shards: u32,
     pub affinity: ClientAffinity,
 }
 
@@ -424,39 +414,6 @@ impl Snapshot for RebuildState {
     }
 }
 
-/// Component ownership tables for shard-aware journaling: which
-/// placement component each OSD and each client slot belongs to. Built
-/// only for component-affine runs with event journaling on; `None`
-/// otherwise. Derived state — a pure function of (cluster, trace,
-/// options) — so it is never snapshotted and resume rebuilds it.
-struct CompTags {
-    of_osd: Vec<u32>,
-    of_client: Vec<u32>,
-}
-
-impl CompTags {
-    fn build(cluster: &Cluster, trace: &Trace, scripts: &[Vec<usize>]) -> CompTags {
-        let placement = *cluster.catalog.placement();
-        let (comp_of_group, _) = crate::shard::component_map(cluster, trace);
-        let comp_of_file = |file: edm_workload::FileId| {
-            comp_of_group[placement.group_of(placement.home_osd(file, 0)).0 as usize] as u32
-        };
-        let of_osd = (0..cluster.config.osds)
-            .map(|o| comp_of_group[placement.group_of(OsdId(o)).0 as usize] as u32)
-            .collect();
-        // A component-affine script stays inside one component, so its
-        // first record names it. Empty scripts never journal anything.
-        let of_client = scripts
-            .iter()
-            .map(|s| match s.first() {
-                Some(&i) => comp_of_file(trace.records[i].file),
-                None => 0,
-            })
-            .collect();
-        CompTags { of_osd, of_client }
-    }
-}
-
 /// Where [`Engine::run_until_pause`] handed control back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Pause {
@@ -467,25 +424,22 @@ pub(crate) enum Pause {
     Done,
 }
 
-/// The replay engine, generic over its policy and observability sinks so
-/// the group-sharded runner can instantiate it with owned, `Send` types
-/// (an access buffer + a memory recorder) while the public entry points
-/// keep using trait objects. Behaviour is identical for both.
-pub(crate) struct Engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> {
+/// The replay engine.
+pub(crate) struct Engine<'a> {
     pub(crate) cluster: Cluster,
     trace: &'a Trace,
-    pub(crate) policy: &'a mut P,
-    pub(crate) options: SimOptions,
+    policy: &'a mut dyn Migrator,
+    options: SimOptions,
     /// Observability sink. The engine owns the journal clock (`set_now`
     /// on every dispatched event) and the device scope around device ops;
     /// recording is read-only so behaviour is identical at every level.
-    pub(crate) obs: &'a mut R,
+    pub(crate) obs: &'a mut dyn Recorder,
 
     queue: CalendarQueue<Event>,
     seq: u64,
     pub(crate) now: u64,
 
-    pub(crate) scripts: Vec<Vec<usize>>,
+    scripts: Vec<Vec<usize>>,
     cursors: Vec<usize>,
     /// File ops currently in flight per client (bounded by the configured
     /// concurrency — the multi-threaded replayer of §IV).
@@ -494,87 +448,57 @@ pub(crate) struct Engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
     inflight: TokenMap<Inflight>,
     next_token: u64,
 
-    pub(crate) queues: Vec<VecDeque<SubReq>>,
-    pub(crate) current: Vec<Option<SubReq>>,
+    queues: Vec<VecDeque<SubReq>>,
+    current: Vec<Option<SubReq>>,
     /// Accumulated service time per OSD (overhead + device, incl. GC).
-    pub(crate) busy_us: Vec<u64>,
+    busy_us: Vec<u64>,
     /// Deepest queue ever observed per OSD.
-    pub(crate) peak_queue_depth: Vec<u64>,
+    peak_queue_depth: Vec<u64>,
 
     /// Whether in-flight moves block requests (policy property).
     blocking_moves: bool,
     /// Objects whose move is in flight → parked sub-requests (always
     /// empty lists when moves are non-blocking).
-    pub(crate) moving: FlatMap<ObjectId, Vec<SubReq>>,
+    moving: FlatMap<ObjectId, Vec<SubReq>>,
     /// Source OSD and destination of each in-flight move.
-    pub(crate) move_routes: FlatMap<ObjectId, MoveAction>,
+    move_routes: FlatMap<ObjectId, MoveAction>,
     /// Pending moves per source OSD (one stream per source).
-    pub(crate) move_queues: Vec<VecDeque<MoveAction>>,
+    move_queues: Vec<VecDeque<MoveAction>>,
 
     /// OSDs that have failed so far.
-    pub(crate) failed: Vec<bool>,
+    failed: Vec<bool>,
     /// In-flight rebuilds of lost objects.
     rebuilds: FlatMap<ObjectId, RebuildState>,
-    pub(crate) degraded_ops: u64,
-    pub(crate) lost_ops: u64,
-    pub(crate) rebuilt_objects: u64,
+    degraded_ops: u64,
+    lost_ops: u64,
+    rebuilt_objects: u64,
 
-    pub(crate) responses: ResponseSeries,
-    pub(crate) response_hist: LatencyHistogram,
-    pub(crate) response_sum: f64,
+    responses: ResponseSeries,
+    response_hist: LatencyHistogram,
+    response_sum: f64,
     pub(crate) completed_ops: u64,
     total_records: u64,
     migration_fired: bool,
-    pub(crate) migrations_triggered: u64,
-    pub(crate) moved_objects: u64,
-    pub(crate) failed_moves: u64,
+    migrations_triggered: u64,
+    moved_objects: u64,
+    failed_moves: u64,
     /// Time of the last request or move completion — the replay duration.
     /// Deliberately not advanced by Tick events: a trailing wear-monitor
     /// tick must not inflate the measured duration.
-    pub(crate) last_completion_us: u64,
+    last_completion_us: u64,
     /// Virtual time of the last checkpoint cut (0 = none yet).
     last_ckpt_us: u64,
     /// Page size of the (uniform) devices, latched at construction so
     /// request fan-out never depends on any particular OSD slot.
     page_size: u64,
-    /// Where the last `run_until_pause` stopped — written by the engine
-    /// itself so the sharded runner needs no cross-thread channel to
-    /// collect it.
+    /// Where the last `run_until_pause` stopped.
     pub(crate) paused: Pause,
-    /// Component tags for shard-aware journaling (see [`CompTags`]).
-    comp_tags: Option<CompTags>,
 }
 
-impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, P, R> {
+impl Engine<'_> {
     fn push(&mut self, at: u64, ev: Event) {
         self.seq += 1;
         self.queue.push(at, self.seq, ev);
-    }
-
-    /// Tags subsequent journal entries with the component that owns
-    /// `osd`. No-op outside component-affine journaling runs.
-    fn scope_component_osd(&mut self, osd: OsdId) {
-        if let Some(tags) = &self.comp_tags {
-            self.obs.set_component(Some(tags.of_osd[osd.0 as usize]));
-        }
-    }
-
-    /// Tags subsequent journal entries with `client`'s component.
-    fn scope_component_client(&mut self, client: ClientId) {
-        if let Some(tags) = &self.comp_tags {
-            self.obs
-                .set_component(Some(tags.of_client[client.0 as usize]));
-        }
-    }
-
-    /// Clears the component tag: work the sharded coordinator would run
-    /// itself (the tick body, migration planning) journals untagged in
-    /// both engines, which is what makes the serialized journals
-    /// byte-identical.
-    fn scope_component_none(&mut self) {
-        if self.comp_tags.is_some() {
-            self.obs.set_component(None);
-        }
     }
 
     /// Issues records for `client` until its concurrency window is full
@@ -818,7 +742,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         }
         // Scope FTL events from the device op to this OSD.
         self.obs.set_device(Some(osd.0));
-        let obs = self.obs.as_dyn_mut();
+        let obs = &mut *self.obs;
         let dev = &mut self.cluster.osds[o];
         let device = match sub.payload {
             Payload::FileIo {
@@ -1100,10 +1024,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
 
     /// Starts the next queued move of one source OSD, if any: allocates
     /// the destination copy and issues the first transfer chunk.
-    pub(crate) fn start_next_move(&mut self, source: OsdId) {
-        // Moves are component-local work even when the kick comes from
-        // the (untagged) migration-planning scope.
-        self.scope_component_osd(source);
+    fn start_next_move(&mut self, source: OsdId) {
         let Some(action) = self.move_queues[source.0 as usize].pop_front() else {
             return;
         };
@@ -1343,12 +1264,9 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
     }
 
     fn fire_migration(&mut self) {
-        // Planning is coordinator work in a sharded run: its journal
-        // entries (wear inputs, trigger, plan, assessment) stay untagged.
-        self.scope_component_none();
         let view = self.cluster.view(self.now);
         self.obs.counter("sim.migration_evaluations", 1);
-        let plan = self.policy.plan_obs(&view, self.obs.as_dyn_mut());
+        let plan = self.policy.plan_obs(&view, &mut *self.obs);
         if plan.is_empty() {
             return;
         }
@@ -1590,29 +1508,17 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             .unwrap_or_else(|e| panic!("checkpoint write to {} failed: {e}", path.display()));
     }
 
-    /// Fills every client's concurrency window — the first third of
-    /// seeding. Clients whose script is empty (foreign components in a
-    /// sharded run) are no-ops.
-    pub(crate) fn seed_clients(&mut self) {
-        let clients = self.scripts.len() as u32;
-        for c in 0..clients {
-            self.scope_component_client(ClientId(c));
+    /// Seeds the initial events of a fresh (non-resumed) run: the client
+    /// concurrency windows, the first wear tick, and the injected
+    /// failures (in option order).
+    pub(crate) fn seed_events(&mut self) {
+        for c in 0..self.scripts.len() as u32 {
             self.fill_client(ClientId(c));
         }
-        self.scope_component_none();
-    }
-
-    /// Schedules a wear-monitor tick marker at `at`. In sequential runs
-    /// the engine handles the tick itself; in sharded runs it pauses there
-    /// for the coordinator's barrier.
-    pub(crate) fn seed_tick(&mut self, at: u64) {
-        self.push(at, Event::Tick);
-    }
-
-    /// Schedules the injected failures this engine owns, in the global
-    /// option order (so a sharded run's per-component sequence is exactly
-    /// the sequential sequence restricted to that component).
-    pub(crate) fn seed_failures<F: Fn(OsdId) -> bool>(&mut self, owns: F) {
+        if self.total_records > 0 {
+            let tick = self.cluster.config.wear_tick_us;
+            self.push(tick, Event::Tick);
+        }
         for i in 0..self.options.failures.len() {
             let f = self.options.failures[i];
             assert!(
@@ -1620,28 +1526,14 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
                 "failure injected for unknown {}",
                 f.osd
             );
-            if owns(f.osd) {
-                self.push(f.at_us, Event::Fail(f.osd.0));
-            }
+            self.push(f.at_us, Event::Fail(f.osd.0));
         }
-    }
-
-    /// Seeds the initial events of a fresh (non-resumed) run: the client
-    /// concurrency windows, the first wear tick, and the injected
-    /// failures.
-    pub(crate) fn seed_events(&mut self) {
-        self.seed_clients();
-        if self.total_records > 0 {
-            let tick = self.cluster.config.wear_tick_us;
-            self.seed_tick(tick);
-        }
-        self.seed_failures(|_| true);
     }
 
     /// Pops and dispatches events until a wear-monitor tick is due (time
     /// already advanced to it, body not yet run) or the queue is empty;
     /// records where it stopped in `self.paused`.
-    pub(crate) fn run_until_pause(&mut self) {
+    fn run_until_pause(&mut self) {
         // SimTime never yields, so the return value carries no
         // information on this path.
         let _ = self.run_paced(&mut SimTime);
@@ -1667,21 +1559,9 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             self.now = at;
             self.obs.set_now(at);
             match ev {
-                Event::OsdDone(o) => {
-                    self.scope_component_osd(OsdId(o));
-                    self.on_osd_done(OsdId(o));
-                }
-                Event::MdsDone(token) => {
-                    let client = self.inflight.get(token).map(|i| i.client);
-                    if let Some(client) = client {
-                        self.scope_component_client(client);
-                    }
-                    self.finish_subop(token);
-                }
-                Event::Fail(o) => {
-                    self.scope_component_osd(OsdId(o));
-                    self.on_failure(OsdId(o));
-                }
+                Event::OsdDone(o) => self.on_osd_done(OsdId(o)),
+                Event::MdsDone(token) => self.finish_subop(token),
+                Event::Fail(o) => self.on_failure(OsdId(o)),
                 Event::Tick => {
                     self.paused = Pause::Tick;
                     return false;
@@ -1694,13 +1574,9 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
 
     /// The wear-monitor tick body: sample queue depths, notify the policy,
     /// fire continuous-mode migration, schedule the next tick, and cut a
-    /// checkpoint if one is due. Sequential runs call this between
-    /// [`run_until_pause`](Self::run_until_pause) legs; sharded runs
-    /// replace it with the coordinator's barrier.
+    /// checkpoint if one is due. Runs between
+    /// [`run_until_pause`](Self::run_until_pause) legs.
     pub(crate) fn handle_tick(&mut self) {
-        // The tick body is the sharded coordinator's job; its journal
-        // entries are untagged in both engines.
-        self.scope_component_none();
         self.obs.counter("sim.ticks", 1);
         if self.obs.events_on() {
             // Periodic queue-depth samples: waiting requests
@@ -1836,9 +1712,6 @@ pub fn run_trace_obs_keep(
     obs: &mut dyn Recorder,
 ) -> (RunReport, Cluster) {
     emit_run_meta(&cluster, obs);
-    if let Some(plan) = crate::shard::plan_sharding(&cluster, trace, policy, &options) {
-        return crate::shard::run_sharded(cluster, trace, policy, options, obs, plan);
-    }
     let mut engine = new_engine(cluster, trace, policy, options, obs);
     engine.seed_events();
     engine.drain()
@@ -1852,10 +1725,8 @@ pub fn run_trace_obs_keep(
 /// matches the manifest — and passes the run's [`SimOptions`] so derived
 /// state (notably the [`ClientAffinity`] scripts) is rebuilt identically;
 /// `schedule` and `failures` are overwritten from the checkpoint, and a
-/// fresh `checkpoint` config keeps checkpointing. Resumed runs always
-/// drain sequentially (`shards` is ignored: a checkpoint cut mid-interval
-/// has no barrier-aligned split point). The resumed run's report is
-/// bit-identical to the uninterrupted run's.
+/// fresh `checkpoint` config keeps checkpointing. The resumed run's
+/// report is bit-identical to the uninterrupted run's.
 pub fn resume_trace_obs(
     snap: &SnapshotFile,
     trace: &Trace,
@@ -1901,8 +1772,6 @@ pub fn resume_trace_obs_keep(
 
 /// Journals the run preamble ([`edm_obs::Event::RunMeta`]) the
 /// conformance checker keys on: cluster shape and device geometry.
-/// Emitted on the parent recorder *before* the shard branch so the
-/// sequential and sharded paths produce the same preamble.
 pub(crate) fn emit_run_meta(cluster: &Cluster, obs: &mut dyn Recorder) {
     if !obs.events_on() {
         return;
@@ -1928,25 +1797,20 @@ fn build_scripts(cluster: &Cluster, trace: &Trace, affinity: ClientAffinity) -> 
             .into_iter()
             .map(|s| s.record_indices)
             .collect(),
-        ClientAffinity::Component => crate::shard::component_scripts(cluster, trace, clients),
+        ClientAffinity::Component => crate::component::component_scripts(cluster, trace, clients),
     }
 }
 
 /// Builds a pristine engine around `cluster` — the shared front half of
 /// the fresh-run and resume paths.
-pub(crate) fn new_engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized>(
+pub(crate) fn new_engine<'a>(
     cluster: Cluster,
     trace: &'a Trace,
-    policy: &'a mut P,
+    policy: &'a mut dyn Migrator,
     options: SimOptions,
-    obs: &'a mut R,
-) -> Engine<'a, P, R> {
+    obs: &'a mut dyn Recorder,
+) -> Engine<'a> {
     let scripts = build_scripts(&cluster, trace, options.affinity);
-    let comp_tags = if options.affinity == ClientAffinity::Component && obs.events_on() {
-        Some(CompTags::build(&cluster, trace, &scripts))
-    } else {
-        None
-    };
     let osds = cluster.config.osds as usize;
     let window = cluster.config.response_window_us;
     let blocking_moves = policy.blocking_moves();
@@ -1992,7 +1856,6 @@ pub(crate) fn new_engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
         last_ckpt_us: 0,
         page_size,
         paused: Pause::Done,
-        comp_tags,
     }
 }
 

@@ -65,15 +65,6 @@ impl Migrator for EdmCdf {
         self.tracker.reset_window();
     }
 
-    fn parallel_safe(&self) -> bool {
-        // Plans only intra-group moves (§III.A) and the unbounded tracker's
-        // per-object counters commute across placement components, so
-        // component-ordered replay reproduces the sequential state. A
-        // capacity-bounded tracker does not qualify: its eviction points
-        // depend on the global arrival order of accesses.
-        self.cfg.tracker_capacity.is_none()
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
         self.tracker.save(w);
     }

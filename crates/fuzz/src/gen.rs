@@ -72,13 +72,11 @@ pub fn generate(rng: &mut Rng) -> Scenario {
         None
     };
 
-    // Inode stride / sharded replay: a share of draws opts into the
-    // datacenter shape — a stride dividing the group count with
-    // objects_per_file ≤ stride splits placement into ≥ 2 independent
-    // components, which two worker shards then own under component
-    // affinity. The rest keep the sequential default, so the
-    // `shard_digest` oracle covers both the parallel path and the
-    // fallback gates.
+    // Inode stride: a share of draws opts into the datacenter shape — a
+    // stride dividing the group count with objects_per_file ≤ stride
+    // splits placement into ≥ 2 independent components, each with its
+    // own clients under component affinity. Those replays then go
+    // through every oracle, spec conformance included.
     let strides: Vec<u64> = (2..u64::from(s.groups))
         .filter(|&t| u64::from(s.groups).is_multiple_of(t) && u64::from(s.objects_per_file) <= t)
         .collect();
@@ -86,7 +84,6 @@ pub fn generate(rng: &mut Rng) -> Scenario {
         if let Some(&t) = rng.pick(&strides) {
             s.stride = t;
             s.affinity = ClientAffinity::Component;
-            s.shards = 2;
         }
     }
 
@@ -163,9 +160,9 @@ mod tests {
         assert!(scenarios.iter().any(|s| s.assessor == Assessor::Model));
         assert!(scenarios.iter().any(|s| s.assessor == Assessor::Projection));
         // The datacenter shape must come up: stride > 1 with component
-        // affinity and worker shards, so the parallel engine is fuzzed.
+        // affinity, so component-affine replays are fuzzed.
         assert!(scenarios
             .iter()
-            .any(|s| s.stride > 1 && s.shards > 0 && s.affinity == ClientAffinity::Component));
+            .any(|s| s.stride > 1 && s.affinity == ClientAffinity::Component));
     }
 }

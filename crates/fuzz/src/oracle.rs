@@ -11,8 +11,6 @@
 //! | `policy_invariants`  | trigger/plan/journal/cluster invariants (§III.B–D)      |
 //! | `resume_digest`      | checkpoint at a wear tick + resume reproduces the digest |
 //! | `snapshot_roundtrip` | snapshot decode→encode is byte-identical                |
-//! | `shard_digest`       | group-sharded replay digest identical to sequential     |
-//! | `journal_identity`   | group-sharded journal byte-identical to sequential      |
 //! | `spec_conformance`   | every journaled event is a legal edm-spec transition    |
 //! | `model_assessor`     | mean-field fast path never publishes a worsening plan   |
 //!
@@ -22,7 +20,6 @@
 
 use std::path::{Path, PathBuf};
 
-use edm_cluster::ClientAffinity;
 use edm_harness::{report_digest, resume_snapshot, Scenario};
 use edm_obs::{Event, MemoryRecorder, NoopRecorder, ObsLevel};
 use edm_snap::SnapshotFile;
@@ -126,8 +123,6 @@ fn check_scenario_impl(s: &Scenario, work_dir: &Path) -> Result<OracleStats, Ora
 
     check_ftl_equivalence(s)?;
 
-    check_shard_digest(s)?;
-
     check_model_assessor(s)?;
 
     Ok(stats)
@@ -198,68 +193,6 @@ fn journal_text(rec: &MemoryRecorder, oracle: &'static str) -> Result<String, Or
     rec.write_jsonl(&mut out)
         .map_err(|e| fail(oracle, format!("journal render failed: {e}")))?;
     String::from_utf8(out).map_err(|e| fail(oracle, format!("journal is not UTF-8: {e}")))
-}
-
-/// Oracles `shard_digest` and `journal_identity`: the group-sharded
-/// engine's contract is a bit-identical replay. The scenario is re-run
-/// under component client affinity twice — once sequentially, once
-/// sharded across two workers — and both the determinism digests and
-/// the rendered event journals must match exactly (per-shard buffers
-/// merge in fixed component order, so even the journal bytes may not
-/// depend on worker scheduling). The sharded journal must additionally
-/// satisfy the edm-spec state machine, exercising its component-tagged
-/// path. The sharding gates may legitimately fall back to the
-/// sequential path (CMT, midpoint schedule, a single placement
-/// component); the checks then hold trivially, and the generator draws
-/// inode strides so a share of scenarios genuinely exercise the
-/// parallel path.
-fn check_shard_digest(s: &Scenario) -> Result<(), OracleFailure> {
-    let mut seq = s.clone();
-    seq.shards = 0;
-    seq.affinity = ClientAffinity::Component;
-    let mut par = seq.clone();
-    par.shards = 2;
-    let mut rec_a = MemoryRecorder::new(ObsLevel::Events);
-    let a = seq
-        .run_with_obs(&mut rec_a)
-        .map_err(|e| fail("shard_digest", format!("sequential run failed: {e}")))?;
-    let mut rec_b = MemoryRecorder::new(ObsLevel::Events);
-    let b = par
-        .run_with_obs(&mut rec_b)
-        .map_err(|e| fail("shard_digest", format!("sharded run failed: {e}")))?;
-    let (da, db) = (report_digest(&a), report_digest(&b));
-    if da != db {
-        return Err(fail(
-            "shard_digest",
-            format!(
-                "digest {da:#018x} sequential vs {db:#018x} sharded — \
-                 the group-sharded engine diverged from its replay contract"
-            ),
-        ));
-    }
-    let ja = journal_text(&rec_a, "journal_identity")?;
-    let jb = journal_text(&rec_b, "journal_identity")?;
-    if ja != jb {
-        let line = ja
-            .lines()
-            .zip(jb.lines())
-            .position(|(x, y)| x != y)
-            .map_or_else(|| ja.lines().count().min(jb.lines().count()) + 1, |i| i + 1);
-        return Err(fail(
-            "journal_identity",
-            format!(
-                "sequential and sharded journals diverge at line {line} — \
-                 shard-aware journaling is not scheduling-independent"
-            ),
-        ));
-    }
-    if let Some(v) = edm_spec::verify_journal(&ja).violation {
-        return Err(fail(
-            "spec_conformance",
-            format!("component-affinity journal line {}: {}", v.line, v.message),
-        ));
-    }
-    Ok(())
 }
 
 /// Oracle `policy_invariants`: every journaled trigger evaluation is
@@ -576,17 +509,16 @@ mod tests {
     }
 
     #[test]
-    fn sharding_scenario_passes_all_oracles() {
+    fn component_affine_scenario_passes_all_oracles() {
         // The datacenter smoke shape: stride 2 over 4 groups splits the
-        // cluster into 2 components, so the battery's shard oracle runs
-        // the parallel engine for real rather than falling back.
+        // cluster into 2 placement components, one client set each.
         let s = Scenario::parse(
             "scale 0.002\nosds 16\ngroups 4\nobjects_per_file 2\nschedule every-tick\n\
-             stride 2\nshards 2\naffinity component\n",
+             stride 2\naffinity component\n",
         )
         .expect("parse");
-        let dir = tmp_dir("sharding");
-        check_scenario(&s, &dir).expect("oracles must hold on a sharded scenario");
+        let dir = tmp_dir("component");
+        check_scenario(&s, &dir).expect("oracles must hold on a component-affine scenario");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

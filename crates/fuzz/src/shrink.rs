@@ -65,7 +65,7 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
         |c, d| c.client_concurrency = d.client_concurrency,
         |c, d| c.groups = d.groups,
         |c, d| c.objects_per_file = d.objects_per_file,
-        |c, d| c.shards = d.shards,
+        |c, d| c.assessor = d.assessor,
         |c, d| c.affinity = d.affinity,
         |c, d| c.stride = d.stride,
     ];

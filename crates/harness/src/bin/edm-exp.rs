@@ -165,19 +165,13 @@ fn run_one(id: &str, cfg: &RunConfig, osds: &[u32]) -> bool {
         }
         "scale" => {
             // Datacenter shape when the caller asks for >= 1024 OSDs,
-            // otherwise the seconds-scale smoke shape. Shard count
-            // follows --jobs, falling back to the available cores.
-            let shards = cfg
-                .jobs
-                .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-                .unwrap_or(2)
-                .max(2) as u32;
+            // otherwise the seconds-scale smoke shape.
             let sc = if osds.iter().any(|&n| n >= 1024) {
-                scale::ScaleConfig::datacenter(cfg.scale, shards)
+                scale::ScaleConfig::datacenter(cfg.scale, 0)
             } else {
-                scale::ScaleConfig::smoke(cfg.scale, shards)
+                scale::ScaleConfig::smoke(cfg.scale)
             };
-            println!("{}", scale::render(&scale::run(&sc)));
+            println!("{}", scale::render(&sc, &scale::run(&sc)));
         }
         "reliability" => {
             // An OSD count not divisible by the group count gives uneven

@@ -405,32 +405,26 @@ fn run_equeue_cells(events: u64, reps: u32, results: &mut Vec<BenchCell>) {
     );
 }
 
-/// The datacenter-scale cells: one large cluster replayed sequentially
-/// and group-sharded, digest-asserted identical (see the `scale`
-/// experiment). `ops_per_sec` is replayed trace ops/s. Smoke runs use
-/// the 16-OSD smoke shape under the same cell names; the tracked
-/// numbers come from full runs of the 1024-OSD shape.
+/// The datacenter-scale cell: one large cluster replayed on the
+/// sequential engine (see the `scale` experiment). `ops_per_sec` is
+/// replayed trace ops/s. Smoke runs use the 16-OSD smoke shape under
+/// the same cell name; the tracked numbers come from full runs of the
+/// 1024-OSD shape.
 fn run_scale_cells(smoke: bool, results: &mut Vec<BenchCell>) {
     use edm_harness::experiments::scale;
-    let shards = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .max(2) as u32;
     let cfg = if smoke {
-        scale::ScaleConfig::smoke(0.002, shards)
+        scale::ScaleConfig::smoke(0.002)
     } else {
-        scale::ScaleConfig::datacenter(0.02, shards)
+        scale::ScaleConfig::datacenter(0.02, 0)
     };
-    let result = scale::run(&cfg);
-    println!("{}", scale::render(&result));
-    for (suffix, run) in ["", "_sharded"].iter().zip(&result.runs) {
-        results.push(BenchCell {
-            name: format!("scale_1024osd{suffix}"),
-            wall_ms: run.wall_s * 1e3,
-            ops_per_sec: run.report.completed_ops as f64 / run.wall_s,
-            erases: run.report.aggregate_erases(),
-        });
-    }
+    let run = scale::run(&cfg);
+    println!("{}", scale::render(&cfg, &run));
+    results.push(BenchCell {
+        name: "scale_1024osd".into(),
+        wall_ms: run.wall_s * 1e3,
+        ops_per_sec: run.report.completed_ops as f64 / run.wall_s,
+        erases: run.report.aggregate_erases(),
+    });
 }
 
 /// Times a full workspace scan by the static analyzer. The auditor runs

@@ -11,9 +11,8 @@
 //! The `--journal` mode summarizes an observability journal written by
 //! `edm-sim --obs <file> --obs-level events`: the per-OSD erase
 //! timeline, the migration-decision trace (trigger evaluations, chosen
-//! plans, predicted effects), per-component sections for sharded runs,
-//! and the latency histograms. Exits nonzero if any line fails to
-//! parse.
+//! plans, predicted effects), and the latency histograms. Exits nonzero
+//! if any line fails to parse.
 //!
 //! The `--verify` mode replays the journal through the `edm-spec`
 //! abstract state machine: every event must be a legal EDM transition
@@ -118,9 +117,11 @@ fn verify_mode(path: &str) {
         std::process::exit(1);
     });
     let report = edm_spec::verify_journal(&text);
+    // The trailing "0 component tags" keeps the summary line's format
+    // stable for scripts that parse it; journals carry no such tags.
     println!(
-        "{path}: {} events checked, {} trailers, {} component tags",
-        report.events, report.trailers, report.components
+        "{path}: {} events checked, {} trailers, 0 component tags",
+        report.events, report.trailers
     );
     println!(
         "-- state-machine coverage ({} of {} kinds) --",
@@ -176,17 +177,9 @@ fn journal_mode(path: &str) {
         .filter(|r| matches!(get_str(r, "kind"), "counter" | "gauge" | "hist"))
         .count();
     let events = records.len() - trailers;
-    let mut comps: Vec<u64> = records
-        .iter()
-        .filter(|r| r.get("comp").is_some())
-        .map(|r| get_u64(r, "comp"))
-        .collect();
-    comps.sort_unstable();
-    comps.dedup();
     println!(
-        "{path}: {} records ({events} events, {trailers} trailers, {} components)",
-        records.len(),
-        comps.len()
+        "{path}: {} records ({events} events, {trailers} trailers)",
+        records.len()
     );
 
     // Per-OSD erase timeline: block_erase events bucketed over the run.
@@ -215,52 +208,6 @@ fn journal_mode(path: &str) {
             }
             let cells: Vec<String> = row.iter().map(|c| format!("{c:>5}")).collect();
             println!("osd{o:<3} |{}| total {total}", cells.join(" "));
-        }
-    }
-
-    // Per-component sections for sharded runs: each worker's share of
-    // the event stream and its erase timeline. Triggers and plans stay
-    // in the global tables below — planning runs on the coordinator and
-    // its events carry no component tag.
-    if !comps.is_empty() {
-        const COLS: usize = 12;
-        let max_t = records
-            .iter()
-            .map(|r| get_u64(r, "t_us"))
-            .max()
-            .unwrap_or(0);
-        let width = max_t / COLS as u64 + 1;
-        println!(
-            "-- per-component erase timelines ({} workers, {COLS} x {:.2}s buckets) --",
-            comps.len(),
-            width as f64 / 1e6
-        );
-        for &c in &comps {
-            let mut row = [0u64; COLS];
-            let mut comp_events = 0u64;
-            let mut comp_erases = 0u64;
-            let mut osds: Vec<u64> = Vec::new();
-            for r in records
-                .iter()
-                .filter(|r| r.get("comp").is_some() && get_u64(r, "comp") == c)
-            {
-                comp_events += 1;
-                if get_str(r, "kind") == "block_erase" {
-                    comp_erases += 1;
-                    row[(get_u64(r, "t_us") / width) as usize] += 1;
-                }
-                if let Some(o) = r.get("osd").and_then(JsonValue::as_u64) {
-                    osds.push(o);
-                }
-            }
-            osds.sort_unstable();
-            osds.dedup();
-            let cells: Vec<String> = row.iter().map(|n| format!("{n:>5}")).collect();
-            println!(
-                "comp{c:<3} |{}| {comp_erases} erases / {comp_events} events on {} OSDs",
-                cells.join(" "),
-                osds.len()
-            );
         }
     }
 

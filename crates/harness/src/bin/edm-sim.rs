@@ -42,7 +42,7 @@ fail 2000000 3 rebuild  # at 2s of virtual time, OSD 3 dies; rebuild it
 ";
 
 const USAGE: &str = "usage: edm-sim <scenario-file> [--obs <file>] \
-     [--obs-level off|metrics|events] [--shards <n>] \
+     [--obs-level off|metrics|events] \
      [--checkpoint-every <virtual-secs> --checkpoint-dir <dir>] \
      | edm-sim --resume <snapshot.snap> | edm-sim --example";
 
@@ -63,7 +63,6 @@ fn main() {
     let mut ckpt_every_us: Option<u64> = None;
     let mut ckpt_dir: Option<PathBuf> = None;
     let mut resume: Option<PathBuf> = None;
-    let mut shards: Option<u32> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -95,13 +94,6 @@ fn main() {
                     .unwrap_or_else(|| fail("--resume needs a snapshot file"));
                 resume = Some(PathBuf::from(v));
             }
-            "--shards" => {
-                let v = it.next().unwrap_or_else(|| fail("--shards needs a count"));
-                shards = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("bad --shards value {v:?}"))),
-                );
-            }
             "--obs-level" => {
                 let v = it
                     .next()
@@ -117,9 +109,6 @@ fn main() {
     }
     if resume.is_some() && (path.is_some() || ckpt_every_us.is_some() || ckpt_dir.is_some()) {
         fail("--resume reconstructs the scenario from the snapshot; it takes no scenario file or checkpoint flags");
-    }
-    if resume.is_some() && shards.is_some() {
-        fail("--resume continues the checkpoint's sequential replay; --shards does not apply");
     }
     let checkpoint = match (ckpt_every_us, ckpt_dir) {
         (Some(every_us), Some(dir)) => Some((every_us, dir)),
@@ -157,26 +146,8 @@ fn main() {
         let path = path.expect("checked above");
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-        let mut scenario = Scenario::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-        if let Some(n) = shards {
-            // Sharding requires component client affinity, so asking for
-            // shards on the command line opts into it; `--shards 0`
-            // forces the sequential path without touching the scenario.
-            scenario.shards = n;
-            if n > 0 {
-                scenario.affinity = edm_cluster::ClientAffinity::Component;
-            }
-        }
+        let scenario = Scenario::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
         eprintln!("running {scenario:?}");
-        if scenario.shards > 0 {
-            let decision = scenario
-                .shard_decision()
-                .unwrap_or_else(|e| fail(&format!("scenario failed: {e}")));
-            eprintln!("{decision}");
-            if checkpoint.is_some() {
-                eprintln!("shard-plan: checkpointing forces the sequential path");
-            }
-        }
         scenario
             .run_with_obs_checkpointed(obs, checkpoint)
             .unwrap_or_else(|e| fail(&format!("scenario failed: {e}")))

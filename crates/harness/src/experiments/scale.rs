@@ -1,26 +1,26 @@
-//! Datacenter-scale experiment (extension): sequential vs group-sharded
-//! execution of one large cluster.
+//! Datacenter-scale experiment (extension): one large cluster replayed
+//! on the sequential engine, timed, with its determinism digest.
 //!
 //! The paper's evaluation stops at 16–20 OSDs; Serifos-style cloud
 //! deployments run thousands of SSDs. This experiment replays one
-//! workload on a large cluster twice — once on the classic sequential
-//! engine, once group-sharded across worker threads — times both, and
-//! asserts the determinism digests are bit-identical (the sharded
-//! engine's contract; see DESIGN.md §11).
+//! workload on a large cluster and reports wall time, replayed ops/s
+//! and the report digest, so a change to the engine can be checked for
+//! both speed and bit-identical physics at that shape.
 //!
-//! The inode-stride transform is what makes sharding applicable: with
-//! `objects_per_file ≤ stride` and `groups % stride == 0`, every file's
-//! objects stay inside one aligned block of `stride` groups, so the
-//! cluster splits into `groups / stride` independent components.
+//! The shape uses the inode-stride transform and component client
+//! affinity: with `objects_per_file ≤ stride` and `groups % stride == 0`,
+//! every file's objects stay inside one aligned block of `stride`
+//! groups, so the cluster splits into `groups / stride` placement
+//! components and no client's records cross one (see DESIGN.md §11).
 
 use std::time::Instant;
 
-use edm_cluster::{ClientAffinity, MigrationSchedule, RunReport, ShardDecision};
+use edm_cluster::{ClientAffinity, MigrationSchedule, RunReport};
 
 use crate::report::{render_table, report_digest};
 use crate::scenario::Scenario;
 
-/// Parameters of one scale comparison.
+/// Parameters of one scale run.
 #[derive(Debug, Clone)]
 pub struct ScaleConfig {
     pub trace: String,
@@ -33,15 +33,24 @@ pub struct ScaleConfig {
     /// Inode stride (see module docs); must satisfy
     /// `objects_per_file ≤ stride` and `groups % stride == 0`.
     pub stride: u64,
-    /// Worker threads for the sharded run.
-    pub shards: u32,
+}
+
+/// Rejects a nonzero shard count. The argument survives only so existing
+/// callers of [`ScaleConfig::datacenter`] and [`ScaleConfig::scenario`]
+/// keep compiling; the engine is sequential and honours no other value.
+fn assert_sequential(shards: u32) {
+    assert!(
+        shards == 0,
+        "the engine is sequential; shards must be 0, got {shards}"
+    );
 }
 
 impl ScaleConfig {
     /// The headline configuration: 1024 OSDs in 32 groups, RAID-5 over
     /// 4 objects, stride 4 → 8 placement components. At `scale = 1.0`
-    /// the home02 trace replays ≥ 10⁷ operations.
+    /// the home02 trace replays ≥ 10⁷ operations. `shards` must be 0.
     pub fn datacenter(scale: f64, shards: u32) -> Self {
+        assert_sequential(shards);
         ScaleConfig {
             trace: "home02".into(),
             policy: "EDM-HDF".into(),
@@ -50,13 +59,12 @@ impl ScaleConfig {
             groups: 32,
             objects_per_file: 4,
             stride: 4,
-            shards,
         }
     }
 
     /// A seconds-scale variant for CI smoke runs: 16 OSDs in 4 groups,
     /// RAID-5 over 2 objects, stride 2 → 2 components.
-    pub fn smoke(scale: f64, shards: u32) -> Self {
+    pub fn smoke(scale: f64) -> Self {
         ScaleConfig {
             trace: "home02".into(),
             policy: "EDM-HDF".into(),
@@ -65,15 +73,13 @@ impl ScaleConfig {
             groups: 4,
             objects_per_file: 2,
             stride: 2,
-            shards,
         }
     }
 
-    /// The scenario this configuration runs, with the given shard count
-    /// (0 = sequential). Everything except `shards` is identical between
-    /// the two runs — component affinity in particular, so the replay
-    /// order being compared is genuinely the same.
+    /// The scenario this configuration runs: every-tick migration under
+    /// component client affinity. `shards` must be 0.
     pub fn scenario(&self, shards: u32) -> Scenario {
+        assert_sequential(shards);
         Scenario {
             trace: self.trace.clone(),
             scale: self.scale,
@@ -83,89 +89,55 @@ impl ScaleConfig {
             policy: self.policy.clone(),
             schedule: MigrationSchedule::EveryTick,
             stride: self.stride,
-            shards,
             affinity: ClientAffinity::Component,
             ..Scenario::default()
         }
     }
 }
 
-/// One timed run of the comparison.
+/// One timed run.
 #[derive(Debug)]
 pub struct ScaleRun {
-    pub label: String,
     pub wall_s: f64,
     pub digest: u64,
     pub report: RunReport,
 }
 
-/// The full comparison: the engine's sharding decision, then the timed
-/// sequential and sharded runs.
-#[derive(Debug)]
-pub struct ScaleResult {
-    pub decision: ShardDecision,
-    pub runs: Vec<ScaleRun>,
-}
-
-fn timed_run(scenario: &Scenario, label: &str) -> ScaleRun {
+/// Runs the configuration once and times it.
+pub fn run(cfg: &ScaleConfig) -> ScaleRun {
+    let scenario = cfg.scenario(0);
     #[allow(clippy::disallowed_methods)]
     let started = Instant::now(); // edm-audit: allow(det.wallclock, "wall-clock timing IS this experiment's measurement; it never feeds back into the simulation")
                                   // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
     let report = scenario.run().expect("scale scenario failed");
     let wall_s = started.elapsed().as_secs_f64();
     ScaleRun {
-        label: label.into(),
         wall_s,
         digest: report_digest(&report),
         report,
     }
 }
 
-/// Runs the comparison. Panics if the sharded digest diverges from the
-/// sequential one — digest identity is the sharded engine's contract,
-/// and an experiment that silently reported different physics would be
-/// worse than a crash.
-pub fn run(cfg: &ScaleConfig) -> ScaleResult {
-    let decision = cfg
-        .scenario(cfg.shards)
-        .shard_decision()
-        .expect("scale scenario failed"); // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
-    let sequential = timed_run(&cfg.scenario(0), "sequential");
-    let sharded = timed_run(
-        &cfg.scenario(cfg.shards),
-        &format!("sharded({})", cfg.shards),
-    );
-    assert_eq!(
-        sequential.digest, sharded.digest,
-        "sharded digest diverged from sequential"
-    );
-    ScaleResult {
-        decision,
-        runs: vec![sequential, sharded],
-    }
+pub fn render(cfg: &ScaleConfig, run: &ScaleRun) -> String {
+    let rows = vec![vec![
+        format!("{} OSDs / {} groups", cfg.osds, cfg.groups),
+        format!("{:.2}", run.wall_s),
+        format!(
+            "{:.0}",
+            run.report.completed_ops as f64 / run.wall_s.max(1e-9)
+        ),
+        format!("{:#018x}", run.digest),
+    ]];
+    render_table(&["shape", "wall s", "replayed ops/s", "digest"], &rows)
 }
 
-pub fn render(result: &ScaleResult) -> String {
-    let base = result.runs.first().map(|r| r.wall_s).unwrap_or(0.0);
-    let rows: Vec<Vec<String>> = result
-        .runs
-        .iter()
-        .map(|r| {
-            vec![
-                r.label.clone(),
-                format!("{:.2}", r.wall_s),
-                format!("{:.0}", r.report.completed_ops as f64 / r.wall_s.max(1e-9)),
-                format!("{:.2}x", base / r.wall_s.max(1e-9)),
-                format!("{:#018x}", r.digest),
-            ]
-        })
-        .collect();
-    format!(
-        "{}\n{}",
-        result.decision,
-        render_table(
-            &["engine", "wall s", "replayed ops/s", "speedup", "digest"],
-            &rows,
-        )
-    )
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "shards must be 0")]
+    fn nonzero_shards_panics() {
+        ScaleConfig::smoke(0.01).scenario(2);
+    }
 }

@@ -32,4 +32,4 @@ pub mod recorder;
 pub use event::Event;
 pub use hist::Histogram;
 pub use prom::render_prometheus;
-pub use recorder::{AsDynRecorder, JournalEntry, MemoryRecorder, NoopRecorder, ObsLevel, Recorder};
+pub use recorder::{JournalEntry, MemoryRecorder, NoopRecorder, ObsLevel, Recorder};

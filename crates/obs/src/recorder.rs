@@ -64,13 +64,9 @@ pub trait Recorder {
     /// FTL knowing its own identity.
     fn set_device(&mut self, _device: Option<u32>) {}
 
-    /// Sets (or clears) the placement-component scope stamped on
-    /// subsequent journal lines. The engine tags component-local work
-    /// (client dispatch, device completions, per-source migration kicks)
-    /// and leaves coordinator-level work — tick bodies, trigger and plan
-    /// decisions — untagged, so a journal serializes identically whether
-    /// the run was sequential or group-sharded (see
-    /// [`MemoryRecorder::write_jsonl`]).
+    /// Unused: nothing in the workspace calls or overrides this. It stays
+    /// declared, with its empty default, only because the `perfbench/`
+    /// ledger's `TimedRecorder` forwards it; remove both together.
     fn set_component(&mut self, _component: Option<u32>) {}
 
     /// Adds `delta` to a named monotonic counter.
@@ -85,36 +81,14 @@ pub trait Recorder {
     /// Appends a structured event to the journal.
     fn event(&mut self, _event: Event) {}
 
-    /// Folds a whole histogram into the named latency histogram — the
-    /// bulk form of [`latency`](Self::latency), used when a sharded run
-    /// merges its per-shard recorders back into the parent. Recorders
-    /// that keep no histograms ignore it.
+    /// Unused: nothing in the workspace calls or overrides this. It stays
+    /// declared, with its empty default, only because the `perfbench/`
+    /// ledger's `TimedRecorder` forwards it; remove both together.
     fn merge_histogram(&mut self, _name: &'static str, _hist: &Histogram) {}
 
     /// True when event construction is worth the allocation.
     fn events_on(&self) -> bool {
         self.level() >= ObsLevel::Events
-    }
-}
-
-/// Escape hatch for code generic over `R: Recorder + ?Sized` that must
-/// hand a `&mut dyn Recorder` to an object-safe callee: unsizing
-/// coercions don't apply to generic parameters, so the reborrow goes
-/// through this trait instead. Implemented for every sized recorder and
-/// for `dyn Recorder` itself.
-pub trait AsDynRecorder {
-    fn as_dyn_mut(&mut self) -> &mut dyn Recorder;
-}
-
-impl<R: Recorder> AsDynRecorder for R {
-    fn as_dyn_mut(&mut self) -> &mut dyn Recorder {
-        self
-    }
-}
-
-impl AsDynRecorder for dyn Recorder + '_ {
-    fn as_dyn_mut(&mut self) -> &mut dyn Recorder {
-        self
     }
 }
 
@@ -126,15 +100,11 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {}
 
-/// One journal line: virtual time, optional device and component
-/// scopes, event.
+/// One journal line: virtual time, optional device scope, event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalEntry {
     pub t_us: u64,
     pub device: Option<u32>,
-    /// Placement component the event belongs to (`None` for
-    /// coordinator-level events such as tick bodies and plan decisions).
-    pub component: Option<u32>,
     pub event: Event,
 }
 
@@ -145,7 +115,6 @@ pub struct MemoryRecorder {
     level: ObsLevel,
     now_us: u64,
     device: Option<u32>,
-    component: Option<u32>,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, Histogram>,
@@ -176,9 +145,7 @@ impl MemoryRecorder {
         self.hists.get(name)
     }
 
-    /// All histograms, in deterministic name order. The sharded runner
-    /// folds these into the parent recorder via
-    /// [`Recorder::merge_histogram`].
+    /// All histograms, in deterministic name order.
     pub fn histograms(&self) -> &BTreeMap<&'static str, Histogram> {
         &self.hists
     }
@@ -216,33 +183,18 @@ impl MemoryRecorder {
         out
     }
 
-    /// Writes the journal as JSONL: one line per event (keyed by virtual
-    /// time, stamped with the device and component scopes when present),
-    /// followed by trailer records for every counter, gauge, and
-    /// histogram so a journal file is self-contained.
-    ///
-    /// Events are serialized in the canonical `(t_us, component)` order
-    /// (untagged coordinator events first within a timestamp), with ties
-    /// broken by insertion order. Component sub-simulations are exact
-    /// restrictions of the sequential run, so each `(t_us, component)`
-    /// bucket holds the same events in the same order on both engine
-    /// paths — the canonical sort is what makes the serialized journal
-    /// byte-identical between them. Untagged journals (the default) sort
-    /// into pure insertion order, leaving their serialization unchanged.
+    /// Writes the journal as JSONL: one line per event in insertion
+    /// order (keyed by virtual time, stamped with the device scope when
+    /// present), followed by trailer records for every counter, gauge,
+    /// and histogram so a journal file is self-contained.
     pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let mut line = String::new();
-        let mut ordered: Vec<&JournalEntry> = self.events.iter().collect();
-        // Stable sort: equal keys keep insertion order.
-        ordered.sort_by_key(|e| (e.t_us, e.component.map_or(0u64, |c| c as u64 + 1)));
-        for entry in ordered {
+        for entry in &self.events {
             line.clear();
             line.push('{');
             json::field_u64(&mut line, "t_us", entry.t_us);
             if let Some(d) = entry.device {
                 json::field_u64(&mut line, "osd", d as u64);
-            }
-            if let Some(c) = entry.component {
-                json::field_u64(&mut line, "comp", c as u64);
             }
             json::field_str(&mut line, "kind", entry.event.kind());
             entry.event.write_fields(&mut line);
@@ -302,10 +254,6 @@ impl Recorder for MemoryRecorder {
         self.device = device;
     }
 
-    fn set_component(&mut self, component: Option<u32>) {
-        self.component = component;
-    }
-
     fn counter(&mut self, name: &'static str, delta: u64) {
         if self.level >= ObsLevel::Metrics {
             *self.counters.entry(name).or_insert(0) += delta;
@@ -329,15 +277,8 @@ impl Recorder for MemoryRecorder {
             self.events.push(JournalEntry {
                 t_us: self.now_us,
                 device: self.device,
-                component: self.component,
                 event,
             });
-        }
-    }
-
-    fn merge_histogram(&mut self, name: &'static str, hist: &Histogram) {
-        if self.level >= ObsLevel::Metrics {
-            self.hists.entry(name).or_default().merge(hist);
         }
     }
 }
@@ -430,67 +371,6 @@ mod tests {
         let first = json::parse(lines[0]).unwrap();
         assert_eq!(first.get("t_us").unwrap().as_u64(), Some(10));
         assert_eq!(first.get("kind").unwrap().as_str(), Some("gc_invoked"));
-    }
-
-    #[test]
-    fn component_scope_stamps_entries_and_serializes() {
-        let mut r = MemoryRecorder::new(ObsLevel::Events);
-        r.set_now(7);
-        r.set_component(Some(1));
-        r.event(Event::QueueDepth { osd: 4, depth: 2 });
-        r.set_component(None);
-        r.event(Event::QueueDepth { osd: 0, depth: 1 });
-        let j = r.journal();
-        assert_eq!(j[0].component, Some(1));
-        assert_eq!(j[1].component, None);
-        let mut buf = Vec::new();
-        r.write_jsonl(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        // Canonical order within a timestamp: untagged first, then by
-        // component id — the second emission serializes first.
-        assert!(lines[0].contains("\"osd\":0"), "{text}");
-        assert!(!lines[0].contains("\"comp\""), "{text}");
-        assert!(lines[1].contains("\"comp\":1"), "{text}");
-    }
-
-    #[test]
-    fn canonical_sort_is_stable_within_buckets() {
-        // Two recorders with the same per-(t, component) subsequences but
-        // different interleavings must serialize byte-identically.
-        let fill = |order: &[(u64, Option<u32>, u32)]| {
-            let mut r = MemoryRecorder::new(ObsLevel::Events);
-            for &(t, comp, osd) in order {
-                r.set_now(t);
-                r.set_component(comp);
-                r.event(Event::QueueDepth {
-                    osd,
-                    depth: osd as u64,
-                });
-            }
-            let mut buf = Vec::new();
-            r.write_jsonl(&mut buf).unwrap();
-            String::from_utf8(buf).unwrap()
-        };
-        let sequential = fill(&[
-            (5, None, 0),
-            (5, Some(0), 1),
-            (5, Some(1), 3),
-            (5, Some(0), 2),
-            (9, Some(1), 4),
-        ]);
-        let sharded = fill(&[
-            (5, None, 0),
-            (5, Some(0), 1),
-            (5, Some(0), 2),
-            (5, Some(1), 3),
-            (9, Some(1), 4),
-        ]);
-        assert_eq!(sequential, sharded);
-        // Within (5, Some(0)) insertion order is preserved: osd 1 before 2.
-        let pos1 = sequential.find("\"osd\":1").unwrap();
-        let pos2 = sequential.find("\"osd\":2").unwrap();
-        assert!(pos1 < pos2);
     }
 
     #[test]

@@ -46,8 +46,6 @@ pub struct Scenario {
     pub force: bool,
     pub client_concurrency: Option<u32>,
     pub failures: Vec<FailureSpec>,
-    /// Worker threads for group-sharded execution (0 = sequential).
-    pub shards: u32,
     /// How trace users map onto closed-loop clients.
     pub affinity: ClientAffinity,
     /// Inode stride: every file id in the synthesized trace is multiplied
@@ -55,9 +53,9 @@ pub struct Scenario {
     /// placement component (tenant locality — no user's requests span
     /// components). With `objects_per_file ≤ stride` and
     /// `groups % stride == 0` the cluster's placement then splits into
-    /// `groups / stride` disjoint components, which is what makes
-    /// group-sharded execution applicable to the hash-placed workloads
-    /// (stride 1, the default, leaves the trace untouched).
+    /// `groups / stride` disjoint components, each with its own clients
+    /// under `affinity component` (stride 1, the default, leaves the
+    /// trace untouched).
     pub stride: u64,
     /// Plan-vetting engine for the EDM policies: the reference projection
     /// loop (default) or the `edm-model` closed-form fast path.
@@ -78,7 +76,6 @@ impl Default for Scenario {
             force: true,
             client_concurrency: None,
             failures: Vec::new(),
-            shards: 0,
             affinity: ClientAffinity::User,
             stride: 1,
             assessor: Assessor::Projection,
@@ -159,11 +156,6 @@ impl Scenario {
                             .parse()
                             .map_err(|e| format!("line {}: bad client_concurrency: {e}", no + 1))?,
                     )
-                }
-                "shards" => {
-                    s.shards = next("shards")?
-                        .parse()
-                        .map_err(|e| format!("line {}: bad shards: {e}", no + 1))?
                 }
                 "affinity" => {
                     s.affinity = match next("affinity")? {
@@ -271,9 +263,6 @@ impl Scenario {
         }
         // New keys are emitted only when off-default, so scenario text
         // embedded in old checkpoints keeps round-tripping unchanged.
-        if self.shards != 0 {
-            out.push_str(&format!("shards {}\n", self.shards));
-        }
         if self.affinity != ClientAffinity::User {
             out.push_str("affinity component\n");
         }
@@ -344,32 +333,8 @@ impl Scenario {
         Cluster::build(config, trace)
     }
 
-    /// Evaluates the group-sharding gates for this scenario without
-    /// running it: synthesizes the trace, builds the cluster, and asks
-    /// the engine what it would do. `edm-sim` prints the result as a
-    /// greppable `shard-plan:` line; checkpointing (a CLI-level flag,
-    /// not part of the scenario) additionally forces the sequential
-    /// path and is reported separately by the caller.
-    pub fn shard_decision(&self) -> Result<edm_cluster::ShardDecision, String> {
-        let trace = self.synth_trace();
-        let cluster = self.build_cluster(&trace)?;
-        let policy = self.build_policy()?;
-        Ok(edm_cluster::shard_decision(
-            &cluster,
-            &trace,
-            policy.as_ref(),
-            &SimOptions {
-                schedule: self.schedule,
-                failures: self.failures.clone(),
-                shards: self.shards,
-                affinity: self.affinity,
-                ..SimOptions::default()
-            },
-        ))
-    }
-
     /// The replay-shaping options of a batch run of this scenario
-    /// (no checkpointing, no sharding). Live hosts pass these to the
+    /// (no checkpointing). Live hosts pass these to the
     /// engine so their runs line up with the batch runs bit-for-bit.
     pub fn sim_options(&self) -> SimOptions {
         SimOptions {
@@ -438,11 +403,8 @@ impl Scenario {
             &trace,
             policy.as_mut(),
             SimOptions {
-                schedule: self.schedule,
-                failures: self.failures.clone(),
                 checkpoint,
-                shards: self.shards,
-                affinity: self.affinity,
+                ..self.sim_options()
             },
             obs,
         ))
@@ -508,15 +470,8 @@ pub fn resume_snapshot(
     let mut policy = scenario.build_policy()?;
     // The original run's replay-shaping options must be reproduced for
     // the rebuilt scripts to line up with the checkpointed cursors —
-    // affinity in particular changes the user→client assignment. Sharding
-    // is always off here: checkpointing already forces the sequential
-    // path, and a resumed run continues it.
-    let options = SimOptions {
-        schedule: scenario.schedule,
-        failures: scenario.failures.clone(),
-        affinity: scenario.affinity,
-        ..SimOptions::default()
-    };
+    // affinity in particular changes the user→client assignment.
+    let options = scenario.sim_options();
     let report = resume_trace_obs(&snap, &trace, policy.as_mut(), options, obs)
         .map_err(|e| format!("{}: resume failed: {e}", path.display()))?;
     Ok((scenario, report))
@@ -627,22 +582,29 @@ mod tests {
     }
 
     #[test]
-    fn parse_sharding_keys() {
-        let s = Scenario::parse("shards 4\naffinity component\nstride 8\n").unwrap();
-        assert_eq!(s.shards, 4);
+    fn parse_affinity_and_stride_keys() {
+        let s = Scenario::parse("affinity component\nstride 8\n").unwrap();
         assert_eq!(s.affinity, ClientAffinity::Component);
         assert_eq!(s.stride, 8);
         let s = Scenario::parse("affinity user\n").unwrap();
         assert_eq!(s.affinity, ClientAffinity::User);
         assert!(Scenario::parse("stride 0").is_err());
         assert!(Scenario::parse("affinity sideways").is_err());
-        assert!(Scenario::parse("shards many").is_err());
+    }
+
+    /// `shards` is no longer a scenario key: a scenario that still names
+    /// it must fail loudly rather than run as if it had been honoured.
+    #[test]
+    fn removed_shards_key_is_rejected() {
+        assert_eq!(
+            Scenario::parse("shards 2\n").unwrap_err(),
+            "line 1: unknown key \"shards\""
+        );
     }
 
     #[test]
-    fn sharding_keys_round_trip() {
+    fn affinity_and_stride_keys_round_trip() {
         let s = Scenario {
-            shards: 2,
             affinity: ClientAffinity::Component,
             stride: 4,
             ..Scenario::default()
@@ -652,7 +614,6 @@ mod tests {
         // checkpoints is reproduced byte-for-byte.
         let d = Scenario::default();
         let text = d.to_text();
-        assert!(!text.contains("shards"));
         assert!(!text.contains("affinity"));
         assert!(!text.contains("stride"));
         assert_eq!(Scenario::parse(&text).unwrap(), d);

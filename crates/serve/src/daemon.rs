@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use edm_cluster::{CheckpointConfig, LiveRun, SimOptions, SnapManifest, StepPause, TimeSource};
-use edm_obs::{render_prometheus, Histogram, ObsLevel, Recorder};
+use edm_obs::{render_prometheus, ObsLevel, Recorder};
 use edm_scenario::{render_report, report_digest, Scenario, SnapMeta};
 use edm_snap::SnapshotFile;
 
@@ -255,9 +255,6 @@ impl Recorder for TapRef<'_> {
     fn set_device(&mut self, device: Option<u32>) {
         self.0.borrow_mut().set_device(device);
     }
-    fn set_component(&mut self, component: Option<u32>) {
-        self.0.borrow_mut().set_component(component);
-    }
     fn counter(&mut self, name: &'static str, delta: u64) {
         self.0.borrow_mut().counter(name, delta);
     }
@@ -269,9 +266,6 @@ impl Recorder for TapRef<'_> {
     }
     fn event(&mut self, event: edm_obs::Event) {
         self.0.borrow_mut().event(event);
-    }
-    fn merge_histogram(&mut self, name: &'static str, hist: &Histogram) {
-        self.0.borrow_mut().merge_histogram(name, hist);
     }
     fn events_on(&self) -> bool {
         self.0.borrow().events_on()
@@ -326,11 +320,8 @@ fn run_replay_session(
         .encode(),
     });
     let options = SimOptions {
-        schedule: scenario.schedule,
-        failures: scenario.failures.clone(),
-        affinity: scenario.affinity,
         checkpoint,
-        ..SimOptions::default()
+        ..scenario.sim_options()
     };
     let mut tap = TapRef(recorder);
     let mut live = match &snap {

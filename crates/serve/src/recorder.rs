@@ -14,7 +14,7 @@
 //! `/healthz`, never propagated.
 
 use edm_cluster::{ObjectId, OsdId};
-use edm_obs::{Event, Histogram, JournalEntry, MemoryRecorder, ObsLevel, Recorder};
+use edm_obs::{Event, JournalEntry, MemoryRecorder, ObsLevel, Recorder};
 
 use crate::backend::Backend;
 
@@ -97,10 +97,6 @@ impl Recorder for ServeRecorder {
         self.inner.set_device(device);
     }
 
-    fn set_component(&mut self, component: Option<u32>) {
-        self.inner.set_component(component);
-    }
-
     fn counter(&mut self, name: &'static str, delta: u64) {
         self.inner.counter(name, delta);
     }
@@ -116,10 +112,6 @@ impl Recorder for ServeRecorder {
     fn event(&mut self, event: Event) {
         self.apply(&event);
         self.inner.event(event);
-    }
-
-    fn merge_histogram(&mut self, name: &'static str, hist: &Histogram) {
-        self.inner.merge_histogram(name, hist);
     }
 }
 

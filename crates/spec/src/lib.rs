@@ -37,21 +37,9 @@
 //!   monotone (+1) per `(osd, block)`; `wear_level_swap` conservation:
 //!   once every block of a device has been seen, the reported spread
 //!   equals max−min of the replayed counts.
-//!
-//! ## Shard-aware ordering
-//!
-//! Journals from the group-sharded engine are serialized in canonical
-//! `(t_us, component)` order so sequential and sharded runs produce
-//! byte-identical files. The spec checks that order (a reordered
-//! journal is illegal), but the canonical sort may legally permute the
-//! *true* interleaving of different scopes within one timestamp: an
-//! untagged coordinator event sorts before component events that
-//! happened earlier in the same microsecond. Scope-local checks
-//! (per-object lifecycle, per-block wear, trigger math) are therefore
-//! strict everywhere, while the two cross-scope checks — queue-depth
-//! samples against the replayed queue model and the plan-sources ==
-//! tracked-locations equality — are only enforced on untagged
-//! journals, where serialization order is insertion order.
+//! * **Order** — journals are written in insertion order, which is
+//!   virtual-time order: `t_us` never decreases from one event to the
+//!   next.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -106,8 +94,6 @@ pub struct SpecReport {
     pub events: u64,
     /// Metric trailer records (counters, gauges, histograms).
     pub trailers: u64,
-    /// Distinct component tags seen (0 for untagged journals).
-    pub components: usize,
     /// Per-kind event counts, for the coverage report.
     pub kind_counts: BTreeMap<&'static str, u64>,
     /// First violation, if any. `None` means the journal conforms.
@@ -204,13 +190,8 @@ struct Plan {
 #[derive(Debug, Default)]
 pub struct Spec {
     meta: Option<Meta>,
-    /// Canonical ordering key of the previous event: `(t_us, comp+1)`
-    /// with untagged events at component key 0.
-    last_order: Option<(u64, u64)>,
-    /// True once any component tag was seen; relaxes the two
-    /// cross-scope checks (see module docs).
-    tagged: bool,
-    components: BTreeSet<u32>,
+    /// Timestamp of the previous event; `t_us` never decreases.
+    last_t_us: Option<u64>,
 
     /// Object → current OSD overlay; objects absent sit at their home.
     location: BTreeMap<u64, u32>,
@@ -335,31 +316,22 @@ impl Spec {
     /// Feeds one event line to the state machine.
     ///
     /// `scope_osd` is the line-level `"osd"` device scope (present on
-    /// FTL events), `comp` the line-level `"comp"` shard tag.
+    /// FTL events).
     pub fn step(
         &mut self,
         line: usize,
         t_us: u64,
         scope_osd: Option<u32>,
-        comp: Option<u32>,
         ev: &Event,
     ) -> Result<(), String> {
-        // Canonical journal order: (t_us, component) non-decreasing,
-        // untagged events first within a timestamp.
-        let key = (t_us, comp.map_or(0u64, |c| c as u64 + 1));
-        if let Some(prev) = self.last_order {
-            if key < prev {
+        if let Some(prev) = self.last_t_us {
+            if t_us < prev {
                 return Err(format!(
-                    "journal out of canonical order: (t_us={}, comp={:?}) after (t_us={}, comp key {})",
-                    t_us, comp, prev.0, prev.1
+                    "journal out of order: t_us={t_us} after t_us={prev}"
                 ));
             }
         }
-        self.last_order = Some(key);
-        if let Some(c) = comp {
-            self.tagged = true;
-            self.components.insert(c);
-        }
+        self.last_t_us = Some(t_us);
 
         // A finish event pins the very next event to its remap_update.
         if let Some((fline, obj, dest)) = self.expect_remap {
@@ -561,18 +533,13 @@ impl Spec {
             Event::QueueDepth { osd, depth } => {
                 let m = self.meta()?;
                 self.check_osd(&m, "queue_depth", osd)?;
-                // Cross-scope check: the untagged tick sample may sort
-                // before same-microsecond component events, so it is
-                // only compared against the model on untagged journals.
-                if !self.tagged {
-                    if let Some(q) = self.qlen[osd as usize] {
-                        // The sample counts waiting requests plus at
-                        // most one in service.
-                        if depth != q && depth != q + 1 {
-                            return Err(format!(
-                                "queue_depth sample on osd {osd} reports {depth}, queue model says {q} (+1 in service)"
-                            ));
-                        }
+                if let Some(q) = self.qlen[osd as usize] {
+                    // The sample counts waiting requests plus at most
+                    // one in service.
+                    if depth != q && depth != q + 1 {
+                        return Err(format!(
+                            "queue_depth sample on osd {osd} reports {depth}, queue model says {q} (+1 in service)"
+                        ));
                     }
                 }
             }
@@ -764,17 +731,11 @@ impl Spec {
                     }
                     expected_sources.insert(self.locate(&m, obj) as u64);
                 }
-                // Cross-scope check: the plan observed engine state that
-                // same-microsecond tagged remaps may trail in canonical
-                // order, so exact source-set equality only holds on
-                // untagged journals.
-                if !self.tagged {
-                    let expected: Vec<u64> = expected_sources.into_iter().collect();
-                    if *sources != expected {
-                        return Err(format!(
-                            "plan_chosen sources {sources:?} disagree with the tracked object locations {expected:?}"
-                        ));
-                    }
+                let expected: Vec<u64> = expected_sources.into_iter().collect();
+                if *sources != expected {
+                    return Err(format!(
+                        "plan_chosen sources {sources:?} disagree with the tracked object locations {expected:?}"
+                    ));
                 }
                 for &obj in objects {
                     *self.planned.entry(obj).or_insert(0) += 1;
@@ -1161,24 +1122,17 @@ pub fn verify_journal(text: &str) -> SpecReport {
             Some(Some(o)) if o <= u32::MAX as u64 => Some(o as u32),
             _ => fail!("malformed device scope \"osd\""),
         };
-        let comp = match v.get("comp").map(JsonValue::as_u64) {
-            None => None,
-            Some(Some(c)) if c <= u32::MAX as u64 => Some(c as u32),
-            _ => fail!("malformed component tag \"comp\""),
-        };
         let ev = match Event::from_json(&v) {
             Ok(ev) => ev,
             Err(e) => fail!("malformed {kind} event: {e}"),
         };
         report.events += 1;
         *report.kind_counts.entry(ev.kind()).or_insert(0) += 1;
-        if let Err(message) = spec.step(line, t_us, scope_osd, comp, &ev) {
-            report.components = spec.components.len();
+        if let Err(message) = spec.step(line, t_us, scope_osd, &ev) {
             report.violation = Some(Violation { line, message });
             return report;
         }
     }
-    report.components = spec.components.len();
     if let Err(message) = spec.finish() {
         report.violation = Some(Violation {
             line: last_line,

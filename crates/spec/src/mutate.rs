@@ -85,7 +85,7 @@ pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
         }
         "reorder_events" => {
             // Adjacent event lines with strictly increasing timestamps:
-            // swapping them breaks the canonical journal order.
+            // swapping them breaks the journal's time order.
             let sites: Vec<usize> = (0..lines.len().saturating_sub(1))
                 .filter(
                     |&i| match (u64_field(i, "t_us"), u64_field(i + 1, "t_us")) {

@@ -112,10 +112,7 @@ impl Default for FtlConfig {
     }
 }
 
-/// Page-level FTL over a set of erase blocks. `Clone` exists for the
-/// cluster simulator's group-sharded runner, which duplicates whole
-/// devices per shard.
-#[derive(Clone)]
+/// Page-level FTL over a set of erase blocks.
 pub struct PageLevelFtl {
     geometry: Geometry,
     config: FtlConfig,

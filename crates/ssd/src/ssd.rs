@@ -28,7 +28,6 @@ pub struct SsdSnapshot {
 /// stalls are charged to the operation that triggered them, which is
 /// exactly the blocking behaviour the paper identifies as the driver of
 /// load imbalance (§II).
-#[derive(Clone)]
 pub struct Ssd {
     ftl: PageLevelFtl,
     latency: LatencyModel,

@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-HOT_CELLS="ftl_micro_span event_queue_calendar scale_1024osd_sharded spec_check serve_ingest"
+HOT_CELLS="ftl_micro_span event_queue_calendar spec_check serve_ingest"
 MIN_RATIO="${EDM_BENCH_MIN_RATIO:-0.75}"
 
 fresh="BENCH_edm.json"

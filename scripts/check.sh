@@ -11,21 +11,20 @@
 #   check.sh build   release build
 #   check.sh test    cargo test
 #   check.sh smoke   perf + obs + checkpoint/resume smokes
-#   check.sh scale   sharded-vs-sequential digest identity smoke
 #   check.sh spec    edm-spec conformance replay of smoke + corpus journals
 #   check.sh serve   edm-serve daemon: ingest pipeline, kill/resume, replay digest
 #   check.sh fuzz    edm-fuzz smoke batch (+ fuzz_throughput bench cell)
 #   check.sh model   analytic-model differential gate (edm-exp model-diff
 #                    vs scripts/model_tolerances.json, + model_* bench cells)
-#   check.sh tsan    ThreadSanitizer lane over shard + serve tests (advisory;
+#   check.sh tsan    ThreadSanitizer lane over the serve tests (advisory;
 #                    skips cleanly without a nightly toolchain + rust-src)
 #
 # EDM_CHECK_QUICK=1 shrinks the expensive steps (test -> workspace lib
-# tests only, smoke/scale/spec/fuzz -> skipped) for local edit loops.
+# tests only, smoke/spec/fuzz -> skipped) for local edit loops.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STEPS="fmt lint audit build test smoke scale spec serve fuzz model tsan"
+STEPS="fmt lint audit build test smoke spec serve fuzz model tsan"
 QUICK="${EDM_CHECK_QUICK:-0}"
 
 # Resolve a release binary inside the active target directory. The steps
@@ -161,43 +160,6 @@ EOF
     echo "ckpt smoke: $snap_count checkpoints, resume digest matches OK"
 }
 
-step_scale() {
-    if [ "$QUICK" = "1" ]; then
-        echo "==> scale skipped (EDM_CHECK_QUICK=1)"
-        return 0
-    fi
-    echo "==> scale smoke (edm-sim --shards vs sequential digest)"
-    # The group-sharded engine's contract: a sharded replay must print a
-    # bit-identical report and determinism digest. The stride splits the
-    # 4 groups into 2 placement components, so `--shards 2` genuinely
-    # runs the parallel path (asserted on the shard-plan line).
-    local scale_dir
-    scratch_dir; scale_dir="$SCRATCH_DIR"
-    cat > "$scale_dir/scale.scn" <<'EOF'
-trace home02
-scale 0.004
-osds 16
-groups 4
-objects_per_file 2
-policy EDM-HDF
-schedule every-tick
-stride 2
-affinity component
-EOF
-    "$(bin edm-sim)" "$scale_dir/scale.scn" \
-        > "$scale_dir/sequential.txt" 2> /dev/null
-    "$(bin edm-sim)" "$scale_dir/scale.scn" --shards 2 \
-        > "$scale_dir/sharded.txt" 2> "$scale_dir/sharded.log"
-    grep -q "shard-plan: components=2 threads=2 active=true" "$scale_dir/sharded.log" \
-        || { echo "scale smoke: sharded run fell back to the sequential path"; \
-             cat "$scale_dir/sharded.log"; exit 1; }
-    diff "$scale_dir/sequential.txt" "$scale_dir/sharded.txt" \
-        || { echo "scale smoke: sharded report diverged from sequential"; exit 1; }
-    grep -q "determinism digest 0x" "$scale_dir/sharded.txt" \
-        || { echo "scale smoke: no determinism digest printed"; exit 1; }
-    echo "scale smoke: sharded digest matches sequential OK"
-}
-
 step_spec() {
     if [ "$QUICK" = "1" ]; then
         echo "==> spec skipped (EDM_CHECK_QUICK=1)"
@@ -230,10 +192,10 @@ EOF
     done
     echo "spec: $n scenario journals conformant"
 
-    echo "==> spec sharded-journal identity (1024 OSDs, sequential vs sharded)"
-    # Shard-aware journaling contract: per-shard buffers merge in fixed
-    # component order, so the sharded journal is byte-identical to the
-    # sequential one — and still a legal transition stream.
+    echo "==> spec component-affine journal (1024 OSDs, 8 placement components)"
+    # The datacenter shape under component client affinity: its journal
+    # must pass the full spec, the queue-model and plan-source checks
+    # included.
     cat > "$spec_dir/dc.scn" <<'EOF'
 trace home02
 scale 0.001
@@ -246,14 +208,10 @@ stride 4
 affinity component
 EOF
     "$(bin edm-sim)" "$spec_dir/dc.scn" \
-        --obs "$spec_dir/dc-seq.jsonl" --obs-level events > /dev/null
-    "$(bin edm-sim)" "$spec_dir/dc.scn" --shards 4 \
-        --obs "$spec_dir/dc-par.jsonl" --obs-level events > /dev/null
-    cmp "$spec_dir/dc-seq.jsonl" "$spec_dir/dc-par.jsonl" \
-        || { echo "spec: sharded journal diverged from sequential bytes"; exit 1; }
-    "$(bin edm-probe)" --verify "$spec_dir/dc-par.jsonl" > /dev/null \
-        || { echo "spec: 1024-OSD sharded journal violates the EDM spec"; exit 1; }
-    echo "spec: 1024-OSD sharded journal byte-identical and conformant"
+        --obs "$spec_dir/dc.jsonl" --obs-level events > /dev/null
+    "$(bin edm-probe)" --verify "$spec_dir/dc.jsonl" > /dev/null \
+        || { echo "spec: 1024-OSD component-affine journal violates the EDM spec"; exit 1; }
+    echo "spec: 1024-OSD component-affine journal conformant"
 }
 
 # --- serve helpers: raw HTTP over bash /dev/tcp (no curl dependency) ---
@@ -447,7 +405,7 @@ step_tsan() {
         echo "==> tsan skipped (EDM_CHECK_QUICK=1)"
         return 0
     fi
-    echo "==> tsan (nightly -Zsanitizer=thread over edm-cluster + edm-serve tests)"
+    echo "==> tsan (nightly -Zsanitizer=thread over edm-serve tests)"
     # ThreadSanitizer instruments std itself, so it needs a nightly
     # toolchain with the rust-src component (-Zbuild-std). The lane is
     # advisory and environment-gated: machines without that toolchain
@@ -469,13 +427,12 @@ step_tsan() {
     fi
     local host
     host="$(rustc -vV | sed -n 's/^host: //p')"
-    # Only the crates with real thread concurrency: the group-sharded
-    # engine (scoped-thread shard execution) and the serve daemon
-    # (listener + worker + journal threads).
+    # Only the crate with real thread concurrency in library code: the
+    # serve daemon (listener + worker + journal threads).
     RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -q -Zbuild-std --target "$host" \
-        -p edm-cluster -p edm-serve
-    echo "tsan: shard + serve test suites clean under ThreadSanitizer"
+        -p edm-serve
+    echo "tsan: serve test suite clean under ThreadSanitizer"
 }
 
 run_step() {
@@ -486,7 +443,6 @@ run_step() {
         build) step_build ;;
         test)  step_test ;;
         smoke) step_smoke ;;
-        scale) step_scale ;;
         spec)  step_spec ;;
         serve) step_serve ;;
         fuzz)  step_fuzz ;;

@@ -344,3 +344,19 @@ fn observability_levels_do_not_change_the_run() {
         }
     }
 }
+
+#[test]
+fn edm_sim_rejects_the_removed_shards_flag_with_usage() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_edm-sim"))
+        .args(["scenario.scn", "--shards", "2"])
+        .output()
+        .expect("edm-sim runs");
+    assert!(!out.status.success(), "--shards must not be accepted");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unexpected argument \"--shards\""),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage: edm-sim"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+}

@@ -5,6 +5,7 @@
 //! the `check.sh spec` gate step exercise on scenario corpora.
 
 use edm_harness::Scenario;
+use edm_obs::json::{self, JsonValue};
 use edm_obs::{MemoryRecorder, ObsLevel};
 use edm_spec::{verify_journal, SpecReport};
 
@@ -65,29 +66,53 @@ fn failure_and_rebuild_run_conforms_to_the_spec() {
 }
 
 #[test]
-fn sharded_journal_conforms_and_matches_sequential_byte_for_byte() {
+fn component_affine_journal_conforms_and_its_queue_model_is_enforced() {
     // The datacenter smoke shape: stride 2 over 4 groups yields two
-    // placement components, so the sharded engine genuinely runs in
-    // parallel rather than falling back to the sequential path.
-    let seq = Scenario::parse(
+    // placement components, one client set each.
+    let s = Scenario::parse(
         "scale 0.002\nosds 16\ngroups 4\nobjects_per_file 2\nschedule every-tick\n\
-         stride 2\nshards 0\naffinity component\n",
+         stride 2\naffinity component\n",
     )
     .expect("parse");
-    let mut par = seq.clone();
-    par.shards = 2;
-
-    let a = journal_of(&seq);
-    let b = journal_of(&par);
-    assert_eq!(
-        a, b,
-        "sequential and sharded journals must be byte-identical"
-    );
-
-    let report = assert_conformant(&a);
+    let journal = journal_of(&s);
+    let report = assert_conformant(&journal);
     assert!(
-        report.components >= 2,
-        "component-affinity journal should carry component tags, saw {}",
-        report.components
+        report.kind_counts.contains_key("queue_depth"),
+        "every-tick run journaled no queue_depth samples"
     );
+
+    // Bump the first tick-time queue sample of an OSD the queue model
+    // already tracks (it has seen an enqueue) by two: neither "waiting"
+    // nor "waiting + 1 in service" can explain it, so the spec must
+    // reject it on every journal, component-affine ones included.
+    let mut lines: Vec<String> = journal.lines().map(str::to_string).collect();
+    let mut tracked = std::collections::BTreeSet::new();
+    let mut target = None;
+    for (i, line) in lines.iter().enumerate() {
+        let v = json::parse(line).expect("journal line parses");
+        let kind = v.get("kind").and_then(JsonValue::as_str);
+        let osd = v.get("osd").and_then(JsonValue::as_u64);
+        match (kind, osd) {
+            (Some("op_enqueue"), Some(o)) => {
+                tracked.insert(o);
+            }
+            (Some("queue_depth"), Some(o)) if tracked.contains(&o) => {
+                let depth = v.get("depth").and_then(JsonValue::as_u64).expect("depth");
+                target = Some((i, depth));
+                break;
+            }
+            _ => {}
+        }
+    }
+    let (i, depth) = target.expect("a queue_depth sample of a tracked OSD");
+    lines[i] = lines[i].replace(
+        &format!("\"depth\":{depth}"),
+        &format!("\"depth\":{}", depth + 2),
+    );
+    let mutated = lines.join("\n") + "\n";
+    let v = verify_journal(&mutated)
+        .violation
+        .expect("a bumped queue_depth sample must be rejected");
+    assert_eq!(v.line, i + 1, "{}", v.message);
+    assert!(v.message.contains("queue model"), "{}", v.message);
 }
