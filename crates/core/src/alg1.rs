@@ -70,6 +70,10 @@ pub struct MovementAmounts {
 }
 
 /// HDF variant: returns ΔWc per device (pages).
+///
+/// HDF never moves utilization, so each device's Eq. 4 denominator
+/// `Np · (1 − F(u))` is constant for the whole call: F(u) is inverted once
+/// per device up front, and every probe after that costs one division.
 pub fn calculate_hdf(
     wc_pages: &[f64],
     utilization: &[f64],
@@ -78,13 +82,16 @@ pub fn calculate_hdf(
 ) -> MovementAmounts {
     validate_inputs(wc_pages, utilization);
     let n = wc_pages.len();
+    let free: Vec<f64> = utilization
+        .iter()
+        .map(|&u| model.free_pages_per_erase(u))
+        .collect();
+    let erases = |i: usize, wc: f64| WearModel::erases_at(wc, free[i]);
     let mut wc = wc_pages.to_vec();
     let mut delta = vec![0.0; n];
     let mut used = 0;
     for _ in 0..cfg.iterations {
-        let ec: Vec<f64> = (0..n)
-            .map(|i| model.erase_count(wc[i], utilization[i]))
-            .collect();
+        let ec: Vec<f64> = (0..n).map(|i| erases(i, wc[i])).collect();
         if rsd(&ec) < cfg.stop_rsd {
             break;
         }
@@ -96,8 +103,7 @@ pub fn calculate_hdf(
         let mut eps = 0.0;
         while eps < 1.0 {
             let dw = wc[x] * eps;
-            let de = model.erase_count(wc[x] - dw, utilization[x])
-                - model.erase_count(wc[y] + dw, utilization[y]);
+            let de = erases(x, wc[x] - dw) - erases(y, wc[y] + dw);
             if de <= 0.0 {
                 shift = dw;
                 break;
@@ -113,9 +119,7 @@ pub fn calculate_hdf(
         wc[y] += shift;
         used += 1;
     }
-    let final_erases = (0..n)
-        .map(|i| model.erase_count(wc[i], utilization[i]))
-        .collect();
+    let final_erases = (0..n).map(|i| erases(i, wc[i])).collect();
     MovementAmounts {
         delta,
         final_erases,
@@ -242,6 +246,8 @@ fn max_min_pair(ec: &[f64], source_ok: impl Fn(usize) -> bool) -> Option<(usize,
 mod tests {
     use super::*;
     use edm_cluster::metrics::rsd;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn model() -> WearModel {
         WearModel::paper(32)
@@ -388,6 +394,135 @@ mod tests {
             "coarse grid should still balance: {r_coarse}"
         );
         assert!(r_fine <= r_coarse + 0.05);
+    }
+
+    /// The Algorithm 1 HDF loop as it stood before F(u) was hoisted out of
+    /// the ε sweep: every probe prices both devices through
+    /// [`WearModel::erase_count`], re-inverting F(u) each time. Kept
+    /// verbatim as the bit-identity oracle for [`calculate_hdf`].
+    fn calculate_hdf_reference(
+        wc_pages: &[f64],
+        utilization: &[f64],
+        model: &WearModel,
+        cfg: &Alg1Config,
+    ) -> MovementAmounts {
+        validate_inputs(wc_pages, utilization);
+        let n = wc_pages.len();
+        let mut wc = wc_pages.to_vec();
+        let mut delta = vec![0.0; n];
+        let mut used = 0;
+        for _ in 0..cfg.iterations {
+            let ec: Vec<f64> = (0..n)
+                .map(|i| model.erase_count(wc[i], utilization[i]))
+                .collect();
+            if super::rsd(&ec) < cfg.stop_rsd {
+                break;
+            }
+            let Some((x, y)) = max_min_pair(&ec, |_| true) else {
+                break;
+            };
+            // Inner ε sweep: smallest shift that equalizes the pair.
+            let mut shift = 0.0;
+            let mut eps = 0.0;
+            while eps < 1.0 {
+                let dw = wc[x] * eps;
+                let de = model.erase_count(wc[x] - dw, utilization[x])
+                    - model.erase_count(wc[y] + dw, utilization[y]);
+                if de <= 0.0 {
+                    shift = dw;
+                    break;
+                }
+                eps += cfg.eps_step;
+            }
+            if shift <= 0.0 {
+                break; // pair already balanced ⇒ whole array converged
+            }
+            delta[x] -= shift;
+            delta[y] += shift;
+            wc[x] -= shift;
+            wc[y] += shift;
+            used += 1;
+        }
+        let final_erases = (0..n)
+            .map(|i| model.erase_count(wc[i], utilization[i]))
+            .collect();
+        MovementAmounts {
+            delta,
+            final_erases,
+            iterations_used: used,
+        }
+    }
+
+    #[test]
+    fn hdf_is_bit_identical_to_the_per_probe_reference() {
+        // Utilizations from every regime of F(u): at or below σ (F = 0),
+        // mid-range, and past the UR_MAX clamp (only reachable with σ = 0).
+        let u_pool = [0.0, 0.1, 0.28, 0.3, 0.5, 0.62, 0.7, 0.85, 0.95, 0.9999, 1.0];
+        let cfgs = [
+            Alg1Config::default(),
+            Alg1Config {
+                eps_step: 0.0137,
+                ..Default::default()
+            },
+            Alg1Config {
+                iterations: 7,
+                ..Default::default()
+            },
+            Alg1Config {
+                stop_rsd: 0.0,
+                iterations: 60,
+                eps_step: 0.004,
+                ..Default::default()
+            },
+            Alg1Config {
+                stop_rsd: 0.3,
+                ..Default::default()
+            },
+        ];
+        let models = [
+            WearModel::paper(32),
+            WearModel::eq2(32),
+            WearModel::paper(64),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xeda1c0);
+        let mut moved = 0;
+        let mut cases = 0;
+        for n in 1..=64usize {
+            // Every n under the default tunables and one rotated variant.
+            for k in [0, 1 + n % (cfgs.len() - 1)] {
+                let (cfg, model) = (&cfgs[k], &models[(n + k) % models.len()]);
+                let wc: Vec<f64> = (0..n)
+                    .map(|_| match rng.gen_range(0..5u32) {
+                        0 => 0.0,
+                        1 => rng.gen_range(0..100u32) as f64,
+                        _ => rng.gen_range(0.0..200_000.0),
+                    })
+                    .collect();
+                let u: Vec<f64> = (0..n)
+                    .map(|_| {
+                        if rng.gen_bool(0.5) {
+                            u_pool[rng.gen_range(0..u_pool.len())]
+                        } else {
+                            rng.gen::<f64>()
+                        }
+                    })
+                    .collect();
+                let fast = calculate_hdf(&wc, &u, model, cfg);
+                let reference = calculate_hdf_reference(&wc, &u, model, cfg);
+                assert_eq!(fast, reference, "n {n} cfg {cfg:?} model {model:?}");
+                // PartialEq on f64 treats 0.0 == -0.0; the bits must match too.
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast.delta), bits(&reference.delta));
+                assert_eq!(bits(&fast.final_erases), bits(&reference.final_erases));
+                moved += usize::from(fast.iterations_used > 0);
+                cases += 1;
+            }
+        }
+        // Most cases must actually run the ε sweep, not stop at the guards.
+        assert!(
+            moved > cases / 2,
+            "only {moved} of {cases} cases moved data"
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct PlanAssessment {
 impl PlanAssessment {
     /// True when the predicted imbalance does not grow.
     pub fn is_improvement(&self) -> bool {
-        self.rsd_after <= self.rsd_before + 1e-9
+        improves(self.rsd_before, self.rsd_after)
     }
 
     /// Predicted relative reduction of the wear imbalance (0 when the
@@ -99,8 +99,19 @@ pub fn trim_to_improvement(
     tracker: &AccessTracker,
     model: &WearModel,
 ) -> Vec<MoveAction> {
+    if plan.is_empty() {
+        return plan;
+    }
+    // The before-state is the same for every candidate length: walk the
+    // tracker, build the footprints and invert F(u) for it once. Each pop
+    // re-projects only the after-state, exactly as [`assess_plan`] would.
+    let inp = projection_inputs(view, tracker);
+    let rsd_before = trigger::evaluate(&inp.project(model, &inp.rate, &inp.live_bytes), 0.0).rsd;
     while !plan.is_empty() {
-        if assess_plan(view, &plan, tracker, model).is_improvement() {
+        let after = inp.apply(&plan);
+        let rsd_after =
+            trigger::evaluate(&inp.project(model, &after.rate, &after.live_bytes), 0.0).rsd;
+        if improves(rsd_before, rsd_after) {
             break;
         }
         plan.pop();
@@ -117,6 +128,56 @@ struct ProjectionInputs {
     live_bytes: Vec<f64>,
     rate: Vec<f64>,
     footprint: HashMap<ObjectId, (u64, u64)>,
+}
+
+/// The projected state after a plan: per-device write rates and live
+/// bytes with every move applied, and the plan's transfer totals.
+struct AppliedPlan {
+    rate: Vec<f64>,
+    live_bytes: Vec<f64>,
+    moved_bytes: u64,
+    moved_write_pages: u64,
+}
+
+impl ProjectionInputs {
+    /// Shifts each move's write rate and byte footprint from its source
+    /// to its destination, in plan order.
+    fn apply(&self, plan: &[MoveAction]) -> AppliedPlan {
+        let mut after = AppliedPlan {
+            rate: self.rate.clone(),
+            live_bytes: self.live_bytes.clone(),
+            moved_bytes: 0,
+            moved_write_pages: 0,
+        };
+        for m in plan {
+            let (size, pages) = self.footprint.get(&m.object).copied().unwrap_or((0, 0));
+            after.moved_bytes += size;
+            after.moved_write_pages += pages;
+            let (s, d) = (m.source.0 as usize, m.dest.0 as usize);
+            after.rate[s] -= pages as f64;
+            after.rate[d] += pages as f64;
+            after.live_bytes[s] -= size as f64;
+            after.live_bytes[d] += size as f64;
+        }
+        after
+    }
+
+    /// Eq. 4 one window ahead: `Ec(wc + rate, live / capacity)` per device.
+    fn project(&self, model: &WearModel, rate: &[f64], live_bytes: &[f64]) -> Vec<f64> {
+        (0..self.wc.len())
+            .map(|i| {
+                model.erase_count(
+                    self.wc[i] + rate[i].max(0.0),
+                    (live_bytes[i] / self.capacity[i]).clamp(0.0, 1.0),
+                )
+            })
+            .collect()
+    }
+}
+
+/// The acceptance rule of [`PlanAssessment::is_improvement`].
+fn improves(rsd_before: f64, rsd_after: f64) -> bool {
+    rsd_after <= rsd_before + 1e-9
 }
 
 fn projection_inputs(view: &ClusterView, tracker: &AccessTracker) -> ProjectionInputs {
@@ -251,49 +312,17 @@ pub fn assess_plan(
     tracker: &AccessTracker,
     model: &WearModel,
 ) -> PlanAssessment {
-    let n = view.osds.len();
-    let ProjectionInputs {
-        wc,
-        capacity,
-        mut live_bytes,
-        mut rate,
-        footprint,
-    } = projection_inputs(view, tracker);
-
-    let project = |rate: &[f64], live: &[f64]| -> Vec<f64> {
-        (0..n)
-            .map(|i| {
-                model.erase_count(
-                    wc[i] + rate[i].max(0.0),
-                    (live[i] / capacity[i]).clamp(0.0, 1.0),
-                )
-            })
-            .collect()
-    };
-    let erases_before = project(&rate, &live_bytes);
-
-    let mut moved_bytes = 0u64;
-    let mut moved_write_pages = 0u64;
-    for m in plan {
-        let (size, pages) = footprint.get(&m.object).copied().unwrap_or((0, 0));
-        moved_bytes += size;
-        moved_write_pages += pages;
-        let (s, d) = (m.source.0 as usize, m.dest.0 as usize);
-        rate[s] -= pages as f64;
-        rate[d] += pages as f64;
-        live_bytes[s] -= size as f64;
-        live_bytes[d] += size as f64;
-    }
-
-    let erases_after = project(&rate, &live_bytes);
-
+    let inp = projection_inputs(view, tracker);
+    let after = inp.apply(plan);
+    let erases_before = inp.project(model, &inp.rate, &inp.live_bytes);
+    let erases_after = inp.project(model, &after.rate, &after.live_bytes);
     PlanAssessment {
         rsd_before: trigger::evaluate(&erases_before, 0.0).rsd,
         rsd_after: trigger::evaluate(&erases_after, 0.0).rsd,
         erases_before,
         erases_after,
-        moved_bytes,
-        moved_write_pages,
+        moved_bytes: after.moved_bytes,
+        moved_write_pages: after.moved_write_pages,
     }
 }
 
@@ -301,6 +330,8 @@ pub fn assess_plan(
 mod tests {
     use super::*;
     use edm_cluster::{AccessEvent, AccessKind, GroupId, ObjectView, OsdId, OsdView};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn view() -> ClusterView {
         ClusterView {
@@ -498,6 +529,150 @@ mod tests {
             assert_eq!(fast, reference);
             assert!(assess_plan(&v, &fast, &t, &model).is_improvement());
         }
+    }
+
+    /// [`assess_plan`] as it stood before the projection was shared with
+    /// the trim: both states re-projected for every device. Kept verbatim
+    /// as the bit-identity oracle.
+    fn assess_reference(
+        view: &ClusterView,
+        plan: &[MoveAction],
+        tracker: &AccessTracker,
+        model: &WearModel,
+    ) -> PlanAssessment {
+        let n = view.osds.len();
+        let ProjectionInputs {
+            wc,
+            capacity,
+            mut live_bytes,
+            mut rate,
+            footprint,
+        } = projection_inputs(view, tracker);
+
+        let project = |rate: &[f64], live: &[f64]| -> Vec<f64> {
+            (0..n)
+                .map(|i| {
+                    model.erase_count(
+                        wc[i] + rate[i].max(0.0),
+                        (live[i] / capacity[i]).clamp(0.0, 1.0),
+                    )
+                })
+                .collect()
+        };
+        let erases_before = project(&rate, &live_bytes);
+
+        let mut moved_bytes = 0u64;
+        let mut moved_write_pages = 0u64;
+        for m in plan {
+            let (size, pages) = footprint.get(&m.object).copied().unwrap_or((0, 0));
+            moved_bytes += size;
+            moved_write_pages += pages;
+            let (s, d) = (m.source.0 as usize, m.dest.0 as usize);
+            rate[s] -= pages as f64;
+            rate[d] += pages as f64;
+            live_bytes[s] -= size as f64;
+            live_bytes[d] += size as f64;
+        }
+
+        let erases_after = project(&rate, &live_bytes);
+
+        PlanAssessment {
+            rsd_before: trigger::evaluate(&erases_before, 0.0).rsd,
+            rsd_after: trigger::evaluate(&erases_after, 0.0).rsd,
+            erases_before,
+            erases_after,
+            moved_bytes,
+            moved_write_pages,
+        }
+    }
+
+    /// The trim as it stood before the before-state was hoisted: a full
+    /// reference assessment per candidate length. Oracle for
+    /// [`trim_to_improvement`].
+    fn trim_reference(
+        view: &ClusterView,
+        mut plan: Vec<MoveAction>,
+        tracker: &AccessTracker,
+        model: &WearModel,
+    ) -> Vec<MoveAction> {
+        while !plan.is_empty() {
+            if assess_reference(view, &plan, tracker, model).is_improvement() {
+                break;
+            }
+            plan.pop();
+        }
+        plan
+    }
+
+    #[test]
+    fn assessment_and_trim_match_the_full_reprojection() {
+        // Seeded views, heats and random (often overshooting) plans over
+        // 2..=24 devices.
+        let mut rng = StdRng::seed_from_u64(0x7e1a5eed);
+        let model = WearModel::paper(32);
+        let (mut trimmed, mut kept) = (0, 0);
+        for case in 0..200u64 {
+            let n = rng.gen_range(2..=24u32);
+            let mut v = view();
+            v.osds = (0..n)
+                .map(|i| OsdView {
+                    osd: OsdId(i),
+                    group: GroupId(i % 2),
+                    wc_pages: rng.gen_range(0..60_000),
+                    utilization: rng.gen_range(0.2..0.9),
+                    measured_erases: 0,
+                    ewma_latency_us: 0.0,
+                    free_bytes: 1 << 29,
+                    capacity_bytes: 1 << 30,
+                })
+                .collect();
+            let objects = rng.gen_range(1..=40u64);
+            v.objects = (0..objects)
+                .map(|i| ObjectView {
+                    object: ObjectId(i),
+                    osd: OsdId(rng.gen_range(0..n)),
+                    size_bytes: rng.gen_range(1..=64u64) << 20,
+                    remapped: false,
+                })
+                .collect();
+            let mut t = AccessTracker::new(60_000_000);
+            for o in &v.objects {
+                for _ in 0..rng.gen_range(0..30u32) {
+                    t.record(AccessEvent {
+                        now_us: 500,
+                        object: o.object,
+                        kind: AccessKind::Write,
+                        pages: rng.gen_range(1..=400),
+                    });
+                }
+            }
+            // Moves may name unknown objects (no footprint), repeat an
+            // object, or even point back at their own source.
+            let plan: Vec<MoveAction> = (0..rng.gen_range(0..12u32))
+                .map(|_| MoveAction {
+                    object: ObjectId(rng.gen_range(0..objects + 2)),
+                    source: OsdId(rng.gen_range(0..n)),
+                    dest: OsdId(rng.gen_range(0..n)),
+                })
+                .collect();
+            let assessed = assess_plan(&v, &plan, &t, &model);
+            let reference = assess_reference(&v, &plan, &t, &model);
+            assert_eq!(assessed, reference, "case {case}");
+            let bits = |a: &PlanAssessment| {
+                let mut b: Vec<u64> = a.erases_before.iter().map(|x| x.to_bits()).collect();
+                b.extend(a.erases_after.iter().map(|x| x.to_bits()));
+                b.extend([a.rsd_before.to_bits(), a.rsd_after.to_bits()]);
+                b
+            };
+            assert_eq!(bits(&assessed), bits(&reference), "case {case}");
+            let fast = trim_to_improvement(&v, plan.clone(), &t, &model);
+            let reference = trim_reference(&v, plan.clone(), &t, &model);
+            assert_eq!(fast, reference, "case {case}");
+            trimmed += usize::from(fast.len() < plan.len());
+            kept += usize::from(!fast.is_empty());
+        }
+        // Both outcomes must be exercised for the comparison to mean anything.
+        assert!(trimmed > 20 && kept > 20, "trimmed {trimmed}, kept {kept}");
     }
 
     /// The EDM policies' plans must always assess as improvements on the

@@ -103,15 +103,23 @@ impl WearModel {
     /// Eq. 4: estimated block erases for `wc_pages` host page writes at
     /// disk utilization `u`.
     pub fn erase_count(&self, wc_pages: f64, u: f64) -> f64 {
-        assert!(wc_pages >= 0.0, "write pages must be non-negative");
-        let ur = self.f_of_u(u);
-        wc_pages / (self.pages_per_block as f64 * (1.0 - ur))
+        Self::erases_at(wc_pages, self.free_pages_per_erase(u))
     }
 
     /// Net free pages produced per erase at utilization `u` (the
     /// denominator of Eq. 4).
     pub fn free_pages_per_erase(&self, u: f64) -> f64 {
         self.pages_per_block as f64 * (1.0 - self.f_of_u(u))
+    }
+
+    /// Eq. 4 with its denominator already evaluated: `free_pages` is
+    /// [`Self::free_pages_per_erase`] of the device's utilization. Callers
+    /// that hold `u` fixed across many probes invert F(u) once and price
+    /// each probe with a single division, bit-identical to
+    /// [`Self::erase_count`].
+    pub fn erases_at(wc_pages: f64, free_pages: f64) -> f64 {
+        assert!(wc_pages >= 0.0, "write pages must be non-negative");
+        wc_pages / free_pages
     }
 }
 

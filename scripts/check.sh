@@ -16,15 +16,18 @@
 #   check.sh fuzz    edm-fuzz smoke batch (+ fuzz_throughput bench cell)
 #   check.sh model   analytic-model differential gate (edm-exp model-diff
 #                    vs scripts/model_tolerances.json, + model_* bench cells)
+#   check.sh perfbench  the benchmark's own checks: perfbench/run.sh
+#                    --selfcheck (seeded inputs equal the programs' own)
+#                    and the runner's self-tests
 #   check.sh tsan    ThreadSanitizer lane over the serve tests (advisory;
 #                    skips cleanly without a nightly toolchain + rust-src)
 #
 # EDM_CHECK_QUICK=1 shrinks the expensive steps (test -> workspace lib
-# tests only, smoke/spec/fuzz -> skipped) for local edit loops.
+# tests only, smoke/spec/fuzz/perfbench -> skipped) for local edit loops.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STEPS="fmt lint audit build test smoke spec serve fuzz model tsan"
+STEPS="fmt lint audit build test smoke spec serve fuzz model perfbench tsan"
 QUICK="${EDM_CHECK_QUICK:-0}"
 
 # Resolve a release binary inside the active target directory. The steps
@@ -400,6 +403,22 @@ step_model() {
     "$(bin edm-exp)" model-diff
 }
 
+step_perfbench() {
+    if [ "$QUICK" = "1" ]; then
+        echo "==> perfbench skipped (EDM_CHECK_QUICK=1)"
+        return 0
+    fi
+    echo "==> perfbench (run.sh --selfcheck + runner self-tests)"
+    # perfbench/ is its own cargo workspace, so nothing else builds it.
+    # Both commands share the gate's target directory: run.sh's release
+    # builds of edm-serve/edm-probe reuse the build step's artifacts, and
+    # the runner's tests do not leave a perfbench/target behind.
+    local target="${CARGO_TARGET_DIR:-target}"
+    CARGO_TARGET_DIR="$target" bash perfbench/run.sh --selfcheck
+    CARGO_TARGET_DIR="$target" \
+        cargo test --release --offline --manifest-path perfbench/Cargo.toml
+}
+
 step_tsan() {
     if [ "$QUICK" = "1" ]; then
         echo "==> tsan skipped (EDM_CHECK_QUICK=1)"
@@ -447,6 +466,7 @@ run_step() {
         serve) step_serve ;;
         fuzz)  step_fuzz ;;
         model) step_model ;;
+        perfbench) step_perfbench ;;
         tsan)  step_tsan ;;
         all)
             for s in $STEPS; do

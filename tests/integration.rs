@@ -360,3 +360,27 @@ fn edm_sim_rejects_the_removed_shards_flag_with_usage() {
     assert!(stderr.contains("usage: edm-sim"), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing may run");
 }
+
+#[test]
+fn datacenter_shape_digest_is_pinned() {
+    // The §11 datacenter shape (1024 OSDs, 32 groups, stride 4, component
+    // affinity, every-tick EDM-HDF) at a scale a debug build replays in
+    // seconds. Its every-tick plans run Algorithm 1 and the plan trim on
+    // all 32 groups, so this pins their arithmetic bit for bit. The value
+    // was printed by `edm-sim` on this scenario (`trace home02`,
+    // `scale 0.005`, `osds 1024`, `groups 32`, `objects_per_file 4`,
+    // `policy EDM-HDF`, `schedule every-tick`, `stride 4`,
+    // `affinity component`) built from the commit before Algorithm 1's
+    // HDF sweep stopped re-inverting F(u) on every ε probe; at scale 0.1
+    // the same build prints 0x668a59dce22e6ab9.
+    let report = edm_harness::experiments::scale::ScaleConfig::datacenter(0.005, 0)
+        .scenario(0)
+        .run()
+        .expect("datacenter scenario");
+    assert!(report.moved_objects > 0, "the shape must migrate");
+    assert_eq!(
+        edm_harness::report_digest(&report),
+        0xf29b_76e0_8097_d28c,
+        "datacenter digest moved"
+    );
+}
