@@ -158,8 +158,8 @@ pub fn audit_sources(files: Vec<(String, String)>) -> AuditOutcome {
 /// Runs only the semantic passes — symbol-graph construction plus the
 /// interprocedural rules (`det.taint`, `conc.lock_order`,
 /// `conc.shared_state`, `unit.time`, `unit.wear`) — over
-/// already-loaded files. Public so `edm-perf` can time exactly this
-/// unit as the `audit_semantic` bench cell.
+/// already-loaded files, before pragma suppression. Public so the
+/// workspace gate can bound the raw finding count.
 pub fn semantic_findings(files: &[SourceFile]) -> Vec<Finding> {
     let graph = SymGraph::build(files);
     let mut raw = Vec::new();

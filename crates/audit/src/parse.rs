@@ -292,7 +292,7 @@ impl<'s> Parser<'s> {
                 self.mk(lo, end, ItemKind::Other("extern"))
             }
             // Item-position macro invocation: `proptest! { … }`,
-            // `criterion_main!(benches);`, `id_snapshot!(OsdId, …);`.
+            // `id_snapshot!(OsdId, …);`.
             _ if self.is_ident(j) && self.is(j + 1, "!") => {
                 let end = self.consume_to_block_or_semi(j, hi);
                 self.mk(lo, end, ItemKind::Other("macro"))

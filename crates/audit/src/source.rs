@@ -16,7 +16,7 @@ pub enum FileKind {
     BinSrc,
     /// `tests/**` (crate-local or workspace-level) — test code.
     TestCode,
-    /// `crates/bench/**` or any `benches/**` — benchmark code.
+    /// `crates/<c>/benches/**` — benchmark code.
     Bench,
     /// `examples/**` — example code.
     Example,
@@ -78,7 +78,7 @@ fn classify(rel: &str) -> (String, FileKind) {
     match parts.as_slice() {
         ["crates", c, rest @ ..] => {
             let name = (*c).to_string();
-            let kind = if *c == "bench" || rest.first() == Some(&"benches") {
+            let kind = if rest.first() == Some(&"benches") {
                 FileKind::Bench
             } else if rest.first() == Some(&"tests") {
                 FileKind::TestCode

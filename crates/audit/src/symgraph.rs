@@ -199,10 +199,7 @@ impl<'a> SymGraph<'a> {
         (0..self.fns.len())
             .filter(|&i| {
                 let f = self.file_of(i);
-                let tool = matches!(
-                    f.crate_name.as_str(),
-                    "harness" | "audit" | "fuzz" | "bench"
-                );
+                let tool = matches!(f.crate_name.as_str(), "harness" | "audit" | "fuzz");
                 !tool
                     && matches!(f.kind, FileKind::LibSrc | FileKind::BinSrc)
                     && !self.fns[i].ctx.in_test

@@ -247,7 +247,7 @@ pub fn f(v: &[u64], o: Option<u64>) -> u64 {
 fn panic_rules_skip_tests_benches_and_cfg_test_modules() {
     let test_code = "pub fn f(o: Option<u64>) -> u64 { o.unwrap() }\n";
     assert!(audit(&[("crates/snap/tests/t.rs", test_code)]).is_clean());
-    assert!(audit(&[("crates/bench/benches/b.rs", test_code)]).is_clean());
+    assert!(audit(&[("crates/ssd/benches/b.rs", test_code)]).is_clean());
 
     let lib_with_test_mod = "\
 #![forbid(unsafe_code)]

@@ -31,7 +31,7 @@ pub struct Alg1Config {
     pub min_source_utilization: f64,
     /// Stop iterating once the relative standard deviation of the model
     /// erase counts falls below this — the same "significant wear
-    /// imbalance" criterion as the trigger (§III.B.2); further shuffling
+    /// imbalance" test as the trigger (§III.B.2); further shuffling
     /// would move data for no wear benefit.
     pub stop_rsd: f64,
     /// CDF only: utilization a single migration round may shed from one

@@ -15,7 +15,6 @@
 use std::path::Path;
 
 use edm_cluster::MigrationSchedule;
-use edm_harness::bench::{write_cells, BenchCell};
 use edm_harness::experiments::{
     ablate, failure, fig1, fig3, fig56, fig7, fig8, model_diff, reliability, scale, table1,
     wearout, EXPERIMENT_IDS,
@@ -87,8 +86,8 @@ fn parse_args() -> Args {
 }
 
 /// Runs the model-vs-simulator differential gate: renders the corpus
-/// comparison, records the `model_*` bench cells, and reports whether
-/// every scenario stayed within the committed tolerances.
+/// comparison and reports whether every scenario stayed within the
+/// committed tolerances.
 fn run_model_diff() -> bool {
     let tolerances = match model_diff::Tolerances::load(Path::new("scripts/model_tolerances.json"))
     {
@@ -106,27 +105,6 @@ fn run_model_diff() -> bool {
         }
     };
     println!("{}", model_diff::render(&result));
-    let (closed_wall_s, preds_per_sec) = model_diff::closed_form_bench(5_000);
-    let cells = [
-        // Corpus differential: scenarios diffed per second of wall time.
-        BenchCell {
-            name: "model_diff_corpus".into(),
-            wall_ms: result.wall_s * 1e3,
-            ops_per_sec: result.diffs.len() as f64 / result.wall_s.max(1e-9),
-            erases: result.diffs.iter().map(|d| d.sim_erases).sum(),
-        },
-        // Closed-form evaluation alone: 64-OSD cluster predictions/s.
-        BenchCell {
-            name: "model_closed_form".into(),
-            wall_ms: closed_wall_s * 1e3,
-            ops_per_sec: preds_per_sec,
-            erases: 0,
-        },
-    ];
-    if let Err(e) = write_cells("BENCH_edm.json", &cells) {
-        eprintln!("model-diff: writing BENCH_edm.json failed: {e}");
-        return false;
-    }
     result.passed()
 }
 

@@ -1,7 +1,7 @@
 //! One module per paper artifact. Each experiment exposes a `run`
 //! function returning structured data plus a `render` into the ASCII
-//! rows/series the paper's table or figure reports, so the CLI, the
-//! integration tests, and the Criterion benches all share one code path.
+//! rows/series the paper's table or figure reports, so the CLI and the
+//! integration tests share one code path.
 
 pub mod ablate;
 pub mod failure;

@@ -218,10 +218,10 @@ impl LiveWorld {
                 return ApplyOutcome::Rejected(e);
             }
         };
-        if self.cluster.catalog.file(file).is_none() {
+        let Some(file_size) = self.cluster.catalog.file(file).map(|m| m.size) else {
             self.rejected_lines += 1;
             return ApplyOutcome::Rejected(format!("unknown file {}", file.0));
-        }
+        };
         let (offset, len, write) = match op {
             FileOp::Read { offset, len } => (offset, len, false),
             FileOp::Write { offset, len } => (offset, len, true),
@@ -236,6 +236,20 @@ impl LiveWorld {
             return ApplyOutcome::Rejected("zero-length I/O".to_string());
         }
         let layout = *self.cluster.catalog.layout();
+        // Bound the line before mapping it: the mapper builds one group of
+        // object I/Os per stripe unit and does not guard `offset + len`
+        // against wrapping. A file's objects hold `rows` stripe rows, so
+        // this is the accept set of the per-object size check below.
+        let data_bytes = layout
+            .rows(file_size)
+            .saturating_mul(layout.row_data_bytes());
+        if offset.checked_add(len).is_none_or(|end| end > data_bytes) {
+            self.rejected_lines += 1;
+            return ApplyOutcome::Rejected(format!(
+                "I/O beyond file {}: {len} bytes at offset {offset}, file holds {data_bytes}",
+                file.0
+            ));
+        }
         let ios = if write {
             layout.map_write(offset, len)
         } else {
@@ -651,7 +665,7 @@ pub fn dump_ops(scenario: &Scenario) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edm_obs::{MemoryRecorder, ObsLevel};
+    use edm_obs::{MemoryRecorder, NoopRecorder, ObsLevel};
 
     fn scenario() -> Scenario {
         Scenario {
@@ -728,6 +742,66 @@ mod tests {
         assert_eq!(w.stats().applied_ops, 0);
         assert_eq!(w.rejected_lines(), 2);
         assert_eq!(w.now_us(), 0);
+    }
+
+    #[test]
+    fn out_of_range_lines_are_rejected_before_mapping() {
+        let mut w = LiveWorld::new(scenario()).unwrap();
+        let mut obs = MemoryRecorder::new(ObsLevel::Off);
+        let meta = w.cluster().catalog.files().next().unwrap().clone();
+        let layout = *w.cluster().catalog.layout();
+        let data_bytes = layout.rows(meta.size) * layout.row_data_bytes();
+        let f = meta.file.0;
+        let last = format!("w {f} {} 1", data_bytes - 1);
+        let cases = [
+            // `offset + len` wraps past u64::MAX.
+            format!("w {f} 18446744073709551605 100"),
+            format!("r {f} 18446744073709551605 100"),
+            // A valid offset with a 2^60-byte length: mapped first, it
+            // would build one object I/O group per 64 KiB stripe unit.
+            format!("w {f} 0 {}", 1u64 << 60),
+            format!("r {f} 0 {}", 1u64 << 60),
+            // One byte past the last stripe row.
+            format!("w {f} {data_bytes} 1"),
+            format!("r {f} {} 2", data_bytes - 1),
+        ];
+        for line in &cases {
+            assert!(
+                matches!(w.apply_line(line, &mut obs), ApplyOutcome::Rejected(_)),
+                "{line}"
+            );
+        }
+        assert_eq!(w.rejected_lines(), cases.len() as u64);
+        assert_eq!(w.stats().applied_ops, 0);
+        assert_eq!(w.now_us(), 0);
+        // The last byte of the last row is still in range.
+        assert!(matches!(
+            w.apply_line(&last, &mut obs),
+            ApplyOutcome::Applied { .. }
+        ));
+    }
+
+    #[test]
+    fn repeated_ingest_of_one_stream_is_bit_identical() {
+        let ops = dump_ops(&scenario());
+        let ingest = || {
+            let mut w = LiveWorld::new(scenario()).unwrap();
+            for line in ops.lines() {
+                assert!(
+                    matches!(
+                        w.apply_line(line, &mut NoopRecorder),
+                        ApplyOutcome::Applied { .. }
+                    ),
+                    "dump_ops line rejected: {line}"
+                );
+            }
+            w.stats()
+        };
+        let first = ingest();
+        assert_eq!(first.applied_ops, ops.lines().count() as u64);
+        assert!(first.ticks > 0, "ingest never crossed a wear tick");
+        assert!(first.moved_objects > 0, "ingest never migrated");
+        assert_eq!(first, ingest());
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! determinism/panic-hygiene finding, so the auditor cannot silently
 //! rot out of the workflow.
 
-use edm_audit::{audit_sources, audit_workspace, find_workspace_root, rule_exists};
+use edm_audit::{
+    audit_sources, audit_workspace, find_workspace_root, load_workspace_sources, rule_exists,
+    semantic_findings,
+};
 
 fn workspace_root() -> std::path::PathBuf {
     let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -103,6 +106,20 @@ fn semantic_families_reject_seeded_violations() {
             "{rule} finding carries no source\u{2192}sink chain: {hit:?}"
         );
     }
+}
+
+/// Raw semantic findings are counted before pragma suppression. The
+/// workspace carries a handful; an explosion means a rule regressed even
+/// if every finding happens to sit under a pragma.
+#[test]
+fn raw_semantic_findings_stay_under_fifty() {
+    let files = load_workspace_sources(&workspace_root()).expect("workspace sources");
+    let findings = semantic_findings(&files);
+    assert!(
+        findings.len() < 50,
+        "semantic pass exploded to {} raw findings",
+        findings.len()
+    );
 }
 
 #[test]

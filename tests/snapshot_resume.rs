@@ -104,6 +104,33 @@ fn faulted_migrating_run_resumes_bit_identically() {
 }
 
 #[test]
+fn checkpoint_files_rewrite_byte_identically() {
+    // The encoder is canonical: parsing a real mid-run checkpoint and
+    // writing it back reproduces the file byte for byte, and every
+    // section's CRC verifies on the way.
+    let (_, snaps) = checkpointed_run(&faulted_scenario(), "rewrite");
+    let dir = ckpt_dir("rewrite-out");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let rewrite = dir.join("rewrite.snap");
+    for snap in &snaps {
+        let bytes = std::fs::read(snap).expect("read checkpoint");
+        let file = SnapshotFile::from_bytes(&bytes).expect("checkpoint does not parse");
+        for name in file.section_names() {
+            file.reader(name).expect("section CRC mismatch");
+        }
+        file.write_to(&rewrite).expect("rewrite failed");
+        assert_eq!(
+            std::fs::read(&rewrite).expect("read rewrite"),
+            bytes,
+            "rewrite of {} is not byte-identical",
+            snap.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    cleanup(&snaps);
+}
+
+#[test]
 fn truncated_snapshot_fails_with_typed_error() {
     let scenario = plain_scenario();
     let (_, snaps) = checkpointed_run(&scenario, "trunc");

@@ -44,6 +44,22 @@ fn edm_hdf_run_conforms_to_the_spec() {
 }
 
 #[test]
+fn smoke_shape_journal_conforms() {
+    // The obs smoke shape `check.sh smoke` journals and `check.sh spec`
+    // verifies: grouped placement and one forced midpoint plan.
+    let s = Scenario::parse(
+        "trace home02\nscale 0.004\nosds 8\ngroups 4\npolicy EDM-HDF\n\
+         schedule midpoint\nforce true\n",
+    )
+    .expect("parse");
+    let report = assert_conformant(&journal_of(&s));
+    assert!(
+        report.kind_counts.contains_key("plan_chosen"),
+        "the forced midpoint run chose no plan"
+    );
+}
+
+#[test]
 fn cmt_run_conforms_to_the_spec() {
     // CMT balances load across group boundaries by design; the spec's
     // same-group rule must recognize the policy exemption.
