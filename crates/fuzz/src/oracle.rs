@@ -21,7 +21,8 @@
 use std::path::{Path, PathBuf};
 
 use edm_harness::{report_digest, resume_snapshot, Scenario};
-use edm_obs::{Event, MemoryRecorder, NoopRecorder, ObsLevel};
+use edm_obs::json::Record;
+use edm_obs::{Event, JournalEntry, MemoryRecorder, NoopRecorder, ObsLevel};
 use edm_snap::SnapshotFile;
 use edm_ssd::{Geometry, LatencyModel, Ssd};
 use edm_workload::FileOp;
@@ -176,9 +177,12 @@ fn check_model_assessor(s: &Scenario) -> Result<(), OracleFailure> {
 /// Oracle `spec_conformance`: the event journal of the obs run must be
 /// accepted by the `edm-spec` abstract state machine — every event a
 /// legal EDM transition (placement, remap bijection, migration
-/// lifecycle, trigger semantics, plan consistency, GC/wear accounting).
+/// lifecycle, trigger semantics, plan consistency, GC/wear accounting) —
+/// and every written line must decode back to the entry it was written
+/// from, so the spec judges the run that was recorded.
 fn check_spec_conformance(rec: &MemoryRecorder) -> Result<(), OracleFailure> {
     let text = journal_text(rec, "spec_conformance")?;
+    check_journal_decodes(rec.journal(), &text)?;
     if let Some(v) = edm_spec::verify_journal(&text).violation {
         return Err(fail(
             "spec_conformance",
@@ -186,6 +190,91 @@ fn check_spec_conformance(rec: &MemoryRecorder) -> Result<(), OracleFailure> {
         ));
     }
     Ok(())
+}
+
+/// Line `i + 1` of the written journal decodes to `journal[i]`: the same
+/// `t_us`, the same device scope (the `osd` key written between `t_us`
+/// and `kind`; an event's own `osd` field comes after `kind`) and the
+/// same event.
+fn check_journal_decodes(journal: &[JournalEntry], text: &str) -> Result<(), OracleFailure> {
+    let mut lines = text.lines();
+    let mut rec = Record::default();
+    for (i, entry) in journal.iter().enumerate() {
+        let bad = |what: String| {
+            fail(
+                "spec_conformance",
+                format!("journal line {}: {what}", i + 1),
+            )
+        };
+        let line = lines.next().ok_or_else(|| bad("missing".into()))?;
+        rec.parse_line(line)
+            .map_err(|e| bad(format!("does not decode: {e}")))?;
+        let mut fields = rec.fields();
+        let t_us = match fields.next() {
+            Some(("t_us", v)) => v.as_u64(),
+            _ => None,
+        };
+        let device = match fields.next() {
+            Some(("osd", v)) => Some(v.as_u64()),
+            _ => None,
+        };
+        if t_us != Some(entry.t_us) || device != entry.device.map(|d| Some(u64::from(d))) {
+            return Err(bad(format!(
+                "decodes to t_us {t_us:?} and device {device:?}, recorded {} and {:?}",
+                entry.t_us, entry.device
+            )));
+        }
+        let event = Event::from_record(&rec).map_err(|e| bad(format!("does not decode: {e}")))?;
+        if !same_event(&entry.event, &event) {
+            return Err(bad(format!(
+                "decodes to {event:?}, recorded {:?}",
+                entry.event
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Field-for-field equality, where a recorded non-finite float (written
+/// as `null`, read back as NaN) matches a decoded NaN. `Debug` prints
+/// every NaN as `NaN` and every other float exactly.
+fn same_event(recorded: &Event, decoded: &Event) -> bool {
+    if recorded == decoded {
+        return true;
+    }
+    let mut journaled = recorded.clone();
+    let nan = |x: &mut f64| {
+        if !x.is_finite() {
+            *x = f64::NAN;
+        }
+    };
+    match &mut journaled {
+        Event::WearModelInput {
+            utilization,
+            erase_estimate,
+            ..
+        } => {
+            nan(utilization);
+            nan(erase_estimate);
+        }
+        Event::TriggerEval {
+            rsd, lambda, mean, ..
+        } => {
+            nan(rsd);
+            nan(lambda);
+            nan(mean);
+        }
+        Event::PlanAssessment {
+            rsd_before,
+            rsd_after,
+            ..
+        } => {
+            nan(rsd_before);
+            nan(rsd_after);
+        }
+        _ => {}
+    }
+    format!("{journaled:?}") == format!("{decoded:?}")
 }
 
 fn journal_text(rec: &MemoryRecorder, oracle: &'static str) -> Result<String, OracleFailure> {

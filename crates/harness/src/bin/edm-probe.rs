@@ -27,10 +27,12 @@
 //! simulator, so it is safe to point at checkpoints from newer or older
 //! simulator builds. Exits nonzero on a corrupt or truncated file.
 
+use std::borrow::Cow;
+
 use edm_cluster::{run_trace, Cluster, ClusterConfig, SimOptions, SnapManifest};
 use edm_core::make_policy;
 use edm_harness::SnapMeta;
-use edm_obs::json::{self, JsonValue};
+use edm_obs::json::{Record, Value};
 use edm_snap::SnapshotFile;
 use edm_workload::harvard;
 use edm_workload::synth::synthesize;
@@ -142,52 +144,92 @@ fn verify_mode(path: &str) {
     }
 }
 
-fn get_u64(v: &JsonValue, key: &str) -> u64 {
-    v.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
-}
-
-fn get_f64(v: &JsonValue, key: &str) -> f64 {
-    v.get(key).and_then(JsonValue::as_f64).unwrap_or(f64::NAN)
-}
-
-fn get_str<'a>(v: &'a JsonValue, key: &str) -> &'a str {
-    v.get(key).and_then(JsonValue::as_str).unwrap_or("?")
-}
-
 fn journal_mode(path: &str) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1);
     });
-    let mut records = Vec::new();
+    // One pass with one reused record; each section keeps only what it
+    // prints.
+    let mut rec = Record::default();
+    let (mut records, mut trailers) = (0usize, 0usize);
+    let mut erases: Vec<(u64, u64)> = Vec::new();
+    let mut triggers: Vec<String> = Vec::new();
+    let mut plans: Vec<String> = Vec::new();
+    let mut counters: Vec<String> = Vec::new();
+    let mut hists: Vec<String> = Vec::new();
     for (no, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        match json::parse(line) {
-            Ok(v) => records.push(v),
-            Err(e) => {
-                eprintln!("{path}:{}: bad journal line: {e}", no + 1);
-                std::process::exit(1);
+        if let Err(e) = rec.parse_line(line) {
+            eprintln!("{path}:{}: bad journal line: {e}", no + 1);
+            std::process::exit(1);
+        }
+        records += 1;
+        let u = |key: &str| rec.get(key).and_then(Value::as_u64).unwrap_or(0);
+        let f = |key: &str| rec.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
+        let s = |key: &str| {
+            rec.get(key)
+                .and_then(Value::as_str)
+                .unwrap_or(Cow::Borrowed("?"))
+        };
+        let len = |key: &str| {
+            rec.get(key)
+                .and_then(Value::items)
+                .map_or(0, Iterator::count)
+        };
+        match &*s("kind") {
+            "block_erase" => erases.push((u("t_us"), u("osd"))),
+            "trigger_eval" => triggers.push(format!(
+                "{:>10.3}  {:<8} {:<16} {:>8.4} {:>8.4}  {:<5}  {:>3} {:>3}",
+                u("t_us") as f64 / 1e6,
+                s("policy"),
+                s("metric"),
+                f("rsd"),
+                f("lambda"),
+                rec.get("triggered").and_then(Value::as_bool) == Some(true),
+                len("sources"),
+                len("destinations"),
+            )),
+            "plan_chosen" => plans.push(format!(
+                "plan at {:.3}s: {} moves {} objects / {} bytes",
+                u("t_us") as f64 / 1e6,
+                s("policy"),
+                u("moves"),
+                u("moved_bytes"),
+            )),
+            "plan_assessment" => plans.push(format!(
+                "  predicted RSD {:.4} -> {:.4} for {} bytes / {} write pages shifted",
+                f("rsd_before"),
+                f("rsd_after"),
+                u("moved_bytes"),
+                u("moved_write_pages"),
+            )),
+            "counter" => {
+                trailers += 1;
+                counters.push(format!("{:<28} {}", s("name"), u("value")));
             }
+            "gauge" => trailers += 1,
+            "hist" => {
+                trailers += 1;
+                hists.push(format!(
+                    "{:<20} n={:<9} p50={} p95={} p99={} max={}",
+                    s("name"),
+                    u("count"),
+                    u("p50"),
+                    u("p95"),
+                    u("p99"),
+                    u("max"),
+                ));
+            }
+            _ => {}
         }
     }
-    let trailers = records
-        .iter()
-        .filter(|r| matches!(get_str(r, "kind"), "counter" | "gauge" | "hist"))
-        .count();
-    let events = records.len() - trailers;
-    println!(
-        "{path}: {} records ({events} events, {trailers} trailers)",
-        records.len()
-    );
+    let events = records - trailers;
+    println!("{path}: {records} records ({events} events, {trailers} trailers)");
 
     // Per-OSD erase timeline: block_erase events bucketed over the run.
-    let erases: Vec<(u64, u64)> = records
-        .iter()
-        .filter(|r| get_str(r, "kind") == "block_erase")
-        .map(|r| (get_u64(r, "t_us"), get_u64(r, "osd")))
-        .collect();
     if !erases.is_empty() {
         let max_t = erases.iter().map(|&(t, _)| t).max().unwrap_or(0);
         let max_osd = erases.iter().map(|&(_, o)| o).max().unwrap_or(0) as usize;
@@ -212,79 +254,31 @@ fn journal_mode(path: &str) {
     }
 
     // Migration-decision trace: trigger verdicts, plans, predictions.
-    let triggers: Vec<&JsonValue> = records
-        .iter()
-        .filter(|r| get_str(r, "kind") == "trigger_eval")
-        .collect();
     if !triggers.is_empty() {
         println!("-- trigger evaluations --");
         println!(
             "{:>10}  {:<8} {:<16} {:>8} {:>8}  fired  src dst",
             "t(s)", "policy", "metric", "rsd", "lambda"
         );
-        for t in &triggers {
-            let srcs = t.get("sources").and_then(JsonValue::as_arr);
-            let dsts = t.get("destinations").and_then(JsonValue::as_arr);
-            println!(
-                "{:>10.3}  {:<8} {:<16} {:>8.4} {:>8.4}  {:<5}  {:>3} {:>3}",
-                get_u64(t, "t_us") as f64 / 1e6,
-                get_str(t, "policy"),
-                get_str(t, "metric"),
-                get_f64(t, "rsd"),
-                get_f64(t, "lambda"),
-                t.get("triggered").and_then(JsonValue::as_bool) == Some(true),
-                srcs.map_or(0, <[JsonValue]>::len),
-                dsts.map_or(0, <[JsonValue]>::len),
-            );
+        for row in &triggers {
+            println!("{row}");
         }
     }
-    for r in &records {
-        match get_str(r, "kind") {
-            "plan_chosen" => println!(
-                "plan at {:.3}s: {} moves {} objects / {} bytes",
-                get_u64(r, "t_us") as f64 / 1e6,
-                get_str(r, "policy"),
-                get_u64(r, "moves"),
-                get_u64(r, "moved_bytes"),
-            ),
-            "plan_assessment" => println!(
-                "  predicted RSD {:.4} -> {:.4} for {} bytes / {} write pages shifted",
-                get_f64(r, "rsd_before"),
-                get_f64(r, "rsd_after"),
-                get_u64(r, "moved_bytes"),
-                get_u64(r, "moved_write_pages"),
-            ),
-            _ => {}
-        }
+    for row in &plans {
+        println!("{row}");
     }
 
     // Counter and histogram trailer records.
-    let counters: Vec<&JsonValue> = records
-        .iter()
-        .filter(|r| get_str(r, "kind") == "counter")
-        .collect();
     if !counters.is_empty() {
         println!("-- counters --");
-        for c in counters {
-            println!("{:<28} {}", get_str(c, "name"), get_u64(c, "value"));
+        for row in &counters {
+            println!("{row}");
         }
     }
-    let hists: Vec<&JsonValue> = records
-        .iter()
-        .filter(|r| get_str(r, "kind") == "hist")
-        .collect();
     if !hists.is_empty() {
         println!("-- latency histograms (us) --");
-        for h in hists {
-            println!(
-                "{:<20} n={:<9} p50={} p95={} p99={} max={}",
-                get_str(h, "name"),
-                get_u64(h, "count"),
-                get_u64(h, "p50"),
-                get_u64(h, "p95"),
-                get_u64(h, "p99"),
-                get_u64(h, "max"),
-            );
+        for row in &hists {
+            println!("{row}");
         }
     }
 }

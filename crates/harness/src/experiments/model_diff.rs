@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use edm_cluster::RunReport;
 use edm_model::{ks_statistic, max_rel_error, rel_error, ClusterPrediction, OsdLoad};
 use edm_model::{GcPolicy, MeanFieldModel};
-use edm_obs::json::{parse, JsonValue};
+use edm_obs::json::{Record, Value};
 
 use crate::report::render_table;
 use crate::scenario::Scenario;
@@ -54,10 +54,10 @@ impl Tolerances {
     pub fn load(path: &Path) -> Result<Tolerances, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let doc = parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))?;
+        let doc = Record::parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))?;
         let field = |key: &str| -> Result<f64, String> {
             doc.get(key)
-                .and_then(JsonValue::as_f64)
+                .and_then(Value::as_f64)
                 .ok_or_else(|| format!("{}: missing numeric field {key:?}", path.display()))
         };
         Ok(Tolerances {

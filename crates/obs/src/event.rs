@@ -7,10 +7,10 @@
 //! (time key, optional device scope) is added by the recorder.
 
 use crate::json;
-use crate::json::JsonValue;
+use crate::json::{Record, Value};
 
-/// The `&'static str` labels that may appear in journal events. The
-/// JSON parser interns against this list so a parsed [`Event`] is
+/// The `&'static str` labels that may appear in journal events.
+/// [`Event::from_record`] interns against this list so a parsed [`Event`] is
 /// field-for-field the same type as an emitted one; an unknown label is
 /// a parse error (the journal vocabulary is closed, like the event set).
 const KNOWN_LABELS: &[&str] = &[
@@ -353,21 +353,20 @@ impl Event {
         }
     }
 
-    /// Parses a journal record (one JSONL line parsed to a [`JsonValue`])
+    /// Decodes a journal record (one JSONL line read into a [`Record`])
     /// back into the event it was written from — the conformance spec's
     /// input contract. Inverse of [`Event::kind`] + [`Event::write_fields`]:
-    /// `from_json(parse(written)) == original` for every variant whose
-    /// float fields are finite and whose integers fit in 53 bits (the
-    /// JSON number domain). Returns `Err` for trailer records (`counter`,
+    /// `from_record(written) == original` for every variant whose float
+    /// fields are finite. Returns `Err` for trailer records (`counter`,
     /// `gauge`, `hist`), unknown kinds, and missing or ill-typed fields.
-    pub fn from_json(v: &JsonValue) -> Result<Event, String> {
-        let kind = v
+    pub fn from_record(r: &Record<'_>) -> Result<Event, String> {
+        let kind = r
             .get("kind")
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .ok_or("missing kind")?;
         let u = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
+            r.get(key)
+                .and_then(Value::as_u64)
                 .ok_or_else(|| format!("{kind}: missing or non-integer {key:?}"))
         };
         let u32of = |key: &str| -> Result<u32, String> {
@@ -377,38 +376,37 @@ impl Event {
         // so the record still decodes (NaN != NaN keeps them visible to
         // the spec's consistency checks).
         let f = |key: &str| -> Result<f64, String> {
-            match v.get(key) {
-                Some(JsonValue::Null) => Ok(f64::NAN),
-                Some(n) => n
+            match r.get(key) {
+                Some(v) if v.is_null() => Ok(f64::NAN),
+                Some(v) => v
                     .as_f64()
                     .ok_or_else(|| format!("{kind}: non-numeric {key:?}")),
                 None => Err(format!("{kind}: missing {key:?}")),
             }
         };
         let b = |key: &str| -> Result<bool, String> {
-            v.get(key)
-                .and_then(JsonValue::as_bool)
+            r.get(key)
+                .and_then(Value::as_bool)
                 .ok_or_else(|| format!("{kind}: missing or non-boolean {key:?}"))
         };
         let s = |key: &str| -> Result<&'static str, String> {
-            let raw = v
+            let raw = r
                 .get(key)
-                .and_then(JsonValue::as_str)
+                .and_then(Value::as_str)
                 .ok_or_else(|| format!("{kind}: missing or non-string {key:?}"))?;
-            intern(raw).map_err(|e| format!("{kind}: {key}: {e}"))
+            intern(&raw).map_err(|e| format!("{kind}: {key}: {e}"))
         };
         let arr = |key: &str| -> Result<Vec<u64>, String> {
-            v.get(key)
-                .and_then(JsonValue::as_arr)
+            r.get(key)
+                .and_then(Value::items)
                 .ok_or_else(|| format!("{kind}: missing or non-array {key:?}"))?
-                .iter()
                 .map(|it| {
                     it.as_u64()
                         .ok_or_else(|| format!("{kind}: non-integer element in {key:?}"))
                 })
                 .collect()
         };
-        Ok(match kind {
+        Ok(match &*kind {
             "run_meta" => Event::RunMeta {
                 osds: u32of("osds")?,
                 groups: u32of("groups")?,
@@ -627,15 +625,15 @@ mod tests {
             json::field_str(&mut line, "kind", e.kind());
             e.write_fields(&mut line);
             line.push('}');
-            let v = json::parse(&line).unwrap_or_else(|err| panic!("{line}: {err}"));
-            assert_eq!(v.get("kind").unwrap().as_str(), Some(e.kind()));
-            let back = Event::from_json(&v).unwrap_or_else(|err| panic!("{line}: {err}"));
+            let r = Record::parse(&line).unwrap_or_else(|err| panic!("{line}: {err}"));
+            assert_eq!(r.get("kind").unwrap().as_str().as_deref(), Some(e.kind()));
+            let back = Event::from_record(&r).unwrap_or_else(|err| panic!("{line}: {err}"));
             assert_eq!(back, e, "{line}");
         }
     }
 
     #[test]
-    fn from_json_rejects_bad_records() {
+    fn from_record_rejects_bad_records() {
         let cases = [
             ("{\"t_us\":0}", "missing kind"),
             (
@@ -657,8 +655,8 @@ mod tests {
             ),
         ];
         for (line, needle) in cases {
-            let v = json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
-            let err = Event::from_json(&v).expect_err(line);
+            let r = Record::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let err = Event::from_record(&r).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
         }
     }
@@ -676,7 +674,7 @@ mod tests {
         e.write_fields(&mut line);
         line.push('}');
         assert!(line.contains("\"rsd_before\":null"));
-        let back = Event::from_json(&json::parse(&line).unwrap()).unwrap();
+        let back = Event::from_record(&Record::parse(&line).unwrap()).unwrap();
         match back {
             Event::PlanAssessment {
                 rsd_before,
@@ -696,15 +694,16 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Integers in the JSON-safe domain: our parser stores numbers as
-    /// `f64`, so exact round-trips hold for values below 2^53 (the
-    /// journal's ids, depths, and byte counts all live far below that).
+    /// Integers over the whole `u64` domain: the record decoder reads
+    /// plain digits exactly, so values past 2^53 (where `f64` aliases
+    /// neighbours) round-trip too.
     fn json_u64() -> impl Strategy<Value = u64> {
         prop_oneof![
             Just(0u64),
             Just(1u64),
-            Just((1u64 << 53) - 1),
-            0..=(1u64 << 53) - 1,
+            Just((1u64 << 53) + 1),
+            Just(u64::MAX),
+            any::<u64>(),
         ]
     }
 
@@ -893,10 +892,10 @@ mod proptests {
             json::field_str(&mut line, "kind", e.kind());
             e.write_fields(&mut line);
             line.push('}');
-            let v = json::parse(&line).map_err(|err| {
+            let r = Record::parse(&line).map_err(|err| {
                 TestCaseError::fail(format!("{line}: {err}"))
             })?;
-            let back = Event::from_json(&v).map_err(|err| {
+            let back = Event::from_record(&r).map_err(|err| {
                 TestCaseError::fail(format!("{line}: {err}"))
             })?;
             // NaN never round-trips by equality; json_f64() keeps floats

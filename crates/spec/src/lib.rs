@@ -43,7 +43,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use edm_obs::json::{self, JsonValue};
+use edm_obs::json::{Record, Value};
 use edm_obs::Event;
 
 pub mod mutate;
@@ -1086,6 +1086,8 @@ pub fn verify_journal(text: &str) -> SpecReport {
     let mut spec = Spec::new();
     let mut report = SpecReport::default();
     let mut last_line = 0usize;
+    // One record, reused for every line: decoding allocates nothing.
+    let mut rec = Record::default();
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
         let raw = raw.trim();
@@ -1100,29 +1102,28 @@ pub fn verify_journal(text: &str) -> SpecReport {
                 return report;
             }};
         }
-        let v = match json::parse(raw) {
-            Ok(v) => v,
-            Err(e) => fail!("unparseable JSON: {e}"),
-        };
-        let Some(kind) = v.get("kind").and_then(JsonValue::as_str) else {
+        if let Err(e) = rec.parse_line(raw) {
+            fail!("unparseable JSON: {e}");
+        }
+        let Some(kind) = rec.get("kind").and_then(Value::as_str) else {
             fail!("record without a \"kind\" field");
         };
-        if TRAILER_KINDS.contains(&kind) {
+        if TRAILER_KINDS.contains(&&*kind) {
             report.trailers += 1;
             continue;
         }
         if report.trailers > 0 {
             fail!("event record after the metric trailer section");
         }
-        let Some(t_us) = v.get("t_us").and_then(JsonValue::as_u64) else {
+        let Some(t_us) = rec.get("t_us").and_then(Value::as_u64) else {
             fail!("event without a t_us timestamp");
         };
-        let scope_osd = match v.get("osd").map(JsonValue::as_u64) {
+        let scope_osd = match rec.get("osd").map(Value::as_u64) {
             None => None,
             Some(Some(o)) if o <= u32::MAX as u64 => Some(o as u32),
             _ => fail!("malformed device scope \"osd\""),
         };
-        let ev = match Event::from_json(&v) {
+        let ev = match Event::from_record(&rec) {
             Ok(ev) => ev,
             Err(e) => fail!("malformed {kind} event: {e}"),
         };

@@ -6,7 +6,7 @@
 //! mutation class, and the caller asserts [`crate::verify_journal`]
 //! reports a line-numbered violation for each class in [`MUTATIONS`].
 
-use edm_obs::json::{self, JsonValue};
+use edm_obs::json::{Record, Value};
 
 /// Every mutation class the self-test must prove rejected.
 pub const MUTATIONS: &[&str] = &[
@@ -42,23 +42,23 @@ impl Rng {
 /// migration to retarget).
 pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
     let mut rng = Rng(seed);
-    let mut lines: Vec<String> = journal.lines().map(str::to_string).collect();
-    let parsed: Vec<Option<JsonValue>> = lines.iter().map(|l| json::parse(l).ok()).collect();
+    let src: Vec<&str> = journal.lines().collect();
+    let mut lines: Vec<String> = src.iter().map(|l| l.to_string()).collect();
 
-    let kind_of = |v: &JsonValue| {
-        v.get("kind")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-    };
+    // Lines are decoded on demand; a line that does not decode has no
+    // fields.
+    let field =
+        |i: usize, key: &str| -> Option<Value<'_>> { Record::parse(src.get(i)?).ok()?.get(key) };
     let of_kind = |kind: &str| -> Vec<usize> {
-        parsed
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.as_ref().and_then(&kind_of).as_deref() == Some(kind))
-            .map(|(i, _)| i)
+        let mut rec = Record::default();
+        (0..src.len())
+            .filter(|&i| {
+                rec.parse_line(src[i]).is_ok()
+                    && rec.get("kind").and_then(Value::as_str).as_deref() == Some(kind)
+            })
             .collect()
     };
-    let u64_field = |i: usize, key: &str| -> Option<u64> { parsed[i].as_ref()?.get(key)?.as_u64() };
+    let u64_field = |i: usize, key: &str| -> Option<u64> { field(i, key)?.as_u64() };
     let osds = of_kind("run_meta")
         .first()
         .and_then(|&i| u64_field(i, "osds"))
@@ -107,7 +107,7 @@ pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
             }
             let i = sites[rng.pick(sites.len())];
             let dest = u64_field(i, "dest")?;
-            lines[i] = rewrite_u64(parsed[i].as_ref()?, "dest", (dest + 1) % osds)?;
+            lines[i] = rewrite(src[i], "dest", (dest + 1) % osds)?;
         }
         "retarget_migration" => {
             let sites = of_kind("migration_start");
@@ -121,7 +121,7 @@ pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
             if new_dest == source {
                 new_dest = (new_dest + 1) % osds;
             }
-            lines[i] = rewrite_u64(parsed[i].as_ref()?, "dest", new_dest)?;
+            lines[i] = rewrite(src[i], "dest", new_dest)?;
         }
         "corrupt_trigger" => {
             let sites = of_kind("trigger_eval");
@@ -129,12 +129,8 @@ pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
                 return None;
             }
             let i = sites[rng.pick(sites.len())];
-            let triggered = parsed[i].as_ref()?.get("triggered")?.as_bool()?;
-            lines[i] = rewrite(
-                parsed[i].as_ref()?,
-                "triggered",
-                JsonValue::Bool(!triggered),
-            )?;
+            let triggered = field(i, "triggered")?.as_bool()?;
+            lines[i] = rewrite(src[i], "triggered", !triggered)?;
         }
         "skip_erase" => {
             let sites = of_kind("block_erase");
@@ -156,11 +152,11 @@ pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
             match repeat {
                 Some(i) => {
                     let count = u64_field(i, "erase_count")?;
-                    lines[i] = rewrite_u64(parsed[i].as_ref()?, "erase_count", count + 1)?;
+                    lines[i] = rewrite(src[i], "erase_count", count + 1)?;
                 }
                 None => {
                     let i = sites[rng.pick(sites.len())];
-                    lines[i] = rewrite_u64(parsed[i].as_ref()?, "erase_count", 0)?;
+                    lines[i] = rewrite(src[i], "erase_count", 0)?;
                 }
             }
         }
@@ -182,86 +178,12 @@ pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
     Some(out)
 }
 
-fn rewrite_u64(v: &JsonValue, key: &str, value: u64) -> Option<String> {
-    rewrite(v, key, JsonValue::Num(value as f64))
-}
-
-/// Re-renders an object line with one field replaced, preserving field
-/// order.
-fn rewrite(v: &JsonValue, key: &str, value: JsonValue) -> Option<String> {
-    let JsonValue::Obj(fields) = v else {
-        return None;
-    };
-    if !fields.iter().any(|(k, _)| k == key) {
-        return None;
-    }
-    let fields: Vec<(String, JsonValue)> = fields
-        .iter()
-        .map(|(k, old)| {
-            let v = if k == key { value.clone() } else { old.clone() };
-            (k.clone(), v)
-        })
-        .collect();
-    Some(render(&JsonValue::Obj(fields)))
-}
-
-/// Minimal JSON writer for mutated lines. Integer-valued numbers print
-/// without a fraction (f64 `Display` is exact for journal magnitudes).
-fn render(v: &JsonValue) -> String {
-    let mut out = String::new();
-    render_into(v, &mut out);
-    out
-}
-
-fn render_into(v: &JsonValue, out: &mut String) {
-    match v {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Num(n) => {
-            use std::fmt::Write as _;
-            let _ = write!(out, "{n}");
-        }
-        JsonValue::Str(s) => render_str(s, out),
-        JsonValue::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_into(item, out);
-            }
-            out.push(']');
-        }
-        JsonValue::Obj(fields) => {
-            out.push('{');
-            for (i, (k, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_str(k, out);
-                out.push(':');
-                render_into(val, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn render_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// The line with the value of its first field named `key` replaced by
+/// `value`'s JSON text; every other byte is kept.
+fn rewrite(line: &str, key: &str, value: impl std::fmt::Display) -> Option<String> {
+    let raw = Record::parse(line).ok()?.get(key)?.raw();
+    // `raw` borrows from `line`: its offset locates the span to splice.
+    let start = raw.as_ptr() as usize - line.as_ptr() as usize;
+    let end = start + raw.len();
+    Some(format!("{}{value}{}", line.get(..start)?, line.get(end..)?))
 }
